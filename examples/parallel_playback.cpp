@@ -30,8 +30,8 @@
 // while the parallel decoders run (watch with tools/pmp2_top); --prom-out
 // keeps a Prometheus-style exposition file atomically refreshed; --slo
 // arms in-flight alert rules (raised on stderr as they fire, and recorded
-// under "alerts" in the report). All three parallel decoders publish into
-// one telemetry surface, so the stream covers the whole playback run.
+// under "alerts" in the report). The GOP and slice decoders publish into
+// one telemetry surface, so the stream covers their runs.
 // --watchdog-ms arms the decoders' hang watchdogs; a hung run exits
 // nonzero with the watchdog's last-known-state evidence on stderr.
 // --inject-stall-ms stalls the GOP decoder's frame consumer once,
@@ -69,6 +69,7 @@
 #include "parallel/adaptive/adaptive_decoder.h"
 #include "parallel/gop_decoder.h"
 #include "parallel/slice_parallel.h"
+#include "serve/server.h"
 #include "streamgen/stream_factory.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -169,10 +170,11 @@ int main(int argc, char** argv) {
   }
   obs::Registry metrics;
 
-  // One telemetry surface shared by all three parallel decoders (they run
-  // back to back on the same worker indices), so --live-out streams the
-  // whole playback run and the final snapshot's picture total matches the
-  // sum over the report's parallel rows.
+  // One telemetry surface shared by the GOP and slice decoders (they run
+  // back to back on the same worker indices), so --live-out streams those
+  // runs and the final snapshot's picture total matches the sum over
+  // their report rows. The adaptive row publishes into its server
+  // session's own surface.
   std::unique_ptr<obs::live::LiveTelemetry> live;
   std::unique_ptr<obs::live::LiveSampler> sampler;
   if (!live_out.empty() || !prom_out.empty() || slo.any()) {
@@ -359,28 +361,34 @@ int main(int argc, char** argv) {
     }
   }
   {
+    // The adaptive row is a one-session DecodeServer: the server's
+    // dispatcher, hooks and watchdog, with the session's own telemetry
+    // surface instead of the shared one.
     mpeg2::MemoryTracker tracker;
-    parallel::AdaptiveDecoderConfig cfg;
+    serve::ServerConfig cfg;
     cfg.workers = workers;
     cfg.tracker = &tracker;
-    cfg.live = live.get();
     cfg.prof = prof.get();
     cfg.watchdog_ns = watchdog_ms * 1'000'000;
     if (trace_decoder == "adaptive") {
       cfg.tracer = tracer.get();
       cfg.metrics = &metrics;
     }
-    const auto r = parallel::AdaptiveDecoder(cfg).decode(stream);
+    serve::SessionConfig session;
+    session.name = "adaptive";
+    session.max_queued_gops = 0;
+    session.quarantine_gops = false;
+    const auto r =
+        parallel::decode_as_session(cfg, stream, std::move(session));
     record("adaptive", r)
         .set("gop_mode_gops", r.gop_mode_gops)
         .set("exploded_gops", r.exploded_gops)
-        .set("stolen_tasks", static_cast<std::int64_t>(r.stolen_tasks))
         .set("pool_hits", static_cast<std::int64_t>(r.pool_hits))
         .set("pool_misses", static_cast<std::int64_t>(r.pool_misses));
     const std::uint64_t pool_total = r.pool_hits + r.pool_misses;
     std::cout << "adaptive dispatch: " << r.gop_mode_gops
-              << " whole GOP(s), " << r.exploded_gops << " exploded, "
-              << r.stolen_tasks << " stolen task(s), pool hit rate "
+              << " whole GOP(s), " << r.exploded_gops
+              << " exploded, pool hit rate "
               << (pool_total > 0
                       ? Table::fmt(100.0 * static_cast<double>(r.pool_hits) /
                                        static_cast<double>(pool_total),
@@ -406,9 +414,19 @@ int main(int argc, char** argv) {
   }
 
   t.print(std::cout);
-  std::cout << "\nNote: on a single-core host the threaded decoders cannot"
-               " beat the sequential one; see the bench_* harnesses for the"
-               " virtual-time multiprocessor results.\n";
+  const unsigned cores = std::thread::hardware_concurrency();
+  std::cout << "\nHost: ";
+  if (cores == 0) {
+    std::cout << "core count not detectable.";
+  } else {
+    std::cout << cores << " core(s) detected.";
+  }
+  if (cores == 1) {
+    std::cout << " On a single core the threaded decoders cannot beat the"
+                 " sequential one; see the bench_* harnesses for the"
+                 " virtual-time multiprocessor results.";
+  }
+  std::cout << "\n";
 
   int rc = divergences > 0 || hangs > 0 ? 1 : 0;
   if (!prof_out.empty()) {

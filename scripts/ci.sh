@@ -82,15 +82,17 @@ stage_tsan() {
   # test_fault rides along: quarantine/watchdog recovery exercises the
   # coordinator's error paths under real thread interleavings. test_live
   # holds the seqlock data-race-free claim (TelemetryCell writer storm +
-  # sampler thread). test_adaptive covers the hybrid scheduler's
-  # work-stealing paths (deque pops, steals, exploded-picture handoffs)
-  # under real contention — the threaded AdaptiveDecoder/AdaptiveStress
-  # suites only; the 16-stream checksum matrix is stream-content
-  # coverage that tier-1 already runs and would dominate this stage's
-  # wall time under TSan. test_serve's Server/ServerLifecycle suites put
-  # the DecodeServer's session lifecycle (concurrent open, decode,
-  # cancel, teardown over one shared pool) under the same lens; the
-  # single-threaded Admission/Fairness math stays in tier-1.
+  # sampler thread). test_adaptive covers the one adaptive dispatcher
+  # (one-shot decodes as one-session DecodeServers; claims, explodes and
+  # exploded-picture reference handoffs) under real contention — the
+  # threaded AdaptiveDecoder/AdaptiveStress suites only; the 16-stream
+  # checksum matrix is stream-content coverage that tier-1 already runs
+  # and would dominate this stage's wall time under TSan. test_serve's
+  # Server/ServerLifecycle suites put the DecodeServer's session
+  # lifecycle (concurrent open, decode, cancel, teardown over one shared
+  # pool) and its hooks (tracer, metrics, profiler over two concurrent
+  # sessions) under the same lens; the single-threaded Admission/Fairness
+  # math stays in tier-1.
   run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPMP2_SANITIZE=thread || return 1
   run cmake --build build-tsan -j "$JOBS" \

@@ -81,7 +81,7 @@ WorkerProf* StageProfiler::bind(int slot) {
   w.cur_ = Stage::kOther;
   if (w.tc_) {
     w.tc_->read(&w.last_);
-    if (first) ++bound_;  // benign: binds race only across distinct slots
+    if (first) bound_.fetch_add(1, std::memory_order_relaxed);
   }
   tls_worker_prof = w.tc_ ? &w : nullptr;
   return &w;
@@ -93,7 +93,7 @@ ProfSummary StageProfiler::aggregate() const {
   ProfSummary s;
   s.source = source_->name();
   s.mask = source_->mask();
-  s.workers = bound_;
+  s.workers = bound_.load(std::memory_order_relaxed);
   for (const WorkerProf& w : slots_) {
     for (int i = 0; i < kStageCount; ++i) {
       s.stages[i].counters.accumulate(w.stages_[i].counters);

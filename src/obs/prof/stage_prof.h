@@ -21,6 +21,7 @@
 // TangoLite runs were a separate, slower experiment.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -143,7 +144,7 @@ class StageProfiler {
  private:
   std::unique_ptr<CounterSource> source_;
   std::vector<WorkerProf> slots_;
-  int bound_ = 0;  // distinct slots ever bound
+  std::atomic<int> bound_{0};  // distinct slots ever bound
 };
 
 /// RAII stage marker. One TLS load + branch when profiling is off.

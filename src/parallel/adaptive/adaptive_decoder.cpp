@@ -1,720 +1,63 @@
 #include "parallel/adaptive/adaptive_decoder.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
 #include <utility>
-#include <vector>
-
-#include "mpeg2/structure_scan.h"
-#include "obs/live/telemetry.h"
-#include "obs/metrics.h"
-#include "obs/prof/stage_prof.h"
-#include "obs/tracer.h"
-#include "parallel/gop_work.h"
-#include "parallel/worker_pool.h"
-#include "sched/adaptive.h"
-#include "util/timer.h"
 
 namespace pmp2::parallel {
 
-namespace {
-
-/// Sync waits shorter than this are not worth a trace span; they still
-/// count toward sync_ns.
-constexpr std::int64_t kMinWaitSpanNs = 1'000;
-
-/// One GOP as the coordinator tracks it. Scan-time fields are immutable
-/// after push; the exploded block is created under the coordinator lock
-/// when the dispatch decision explodes the GOP.
-struct GopEntry {
-  mpeg2::GopInfo info;
-  int index = 0;
-  int display_base = 0;
-  int decode_base = 0;
-  int owner = 0;  // deque this GOP arrived on (index % workers)
-  std::uint64_t bytes = 0;
-
-  // --- Exploded state (latency mode) ---
-  bool exploded = false;
-  std::vector<int> ranks;   // display_ranks (quarantine only)
-  std::vector<int> newest;  // per picture: newest non-B before it (-1 none)
-  std::vector<int> older;   // per picture: the non-B before that (-1 none)
-  std::vector<std::uint8_t> state;  // 0 unclaimed, 1 running, 2 complete
-  std::vector<mpeg2::FramePtr> frames;  // completed pictures (ref retention)
-  int completed = 0;
-  bool damaged = false;
-  std::int64_t cost_ns = 0;  // accumulated task CPU time (EWMA feedback)
-};
-
-/// What one claim hands a worker.
-struct Claim {
-  enum class Kind { kWholeGop, kPicture } kind = Kind::kWholeGop;
-  int gop = -1;  // GopEntry id
-  int pic = -1;  // picture index within the GOP (kPicture)
-  bool stolen = false;        // executed for another worker's deque
-  bool popped_gop = false;    // this claim consumed a deque entry
-  int ranked_display = -1;    // quarantine display slot (kPicture)
-  mpeg2::FramePtr fwd, bwd;   // resolved GOP-private references (kPicture)
-};
-
-/// The hybrid scheduler: per-worker GOP deques, an active list of exploded
-/// GOPs, the dispatch policy and the work-stealing order, all under one
-/// mutex. Task granularity is a whole GOP or a whole picture (tens of
-/// microseconds and up), so a single lock is far from contended — and it
-/// buys the same property the slice coordinator relies on: every
-/// scheduling decision and every reference-frame handoff is ordered by one
-/// acquire/release pair, which keeps the stealing path data-race-free
-/// under TSan by construction.
-class AdaptiveCoordinator {
- public:
-  AdaptiveCoordinator(int workers, const sched::AdaptivePolicy& policy,
-                      std::size_t max_queued, bool quarantine,
-                      std::int64_t watchdog_ns, ErrorLog* errors,
-                      std::atomic<int>* quarantined)
-      : workers_(workers),
-        policy_(policy),
-        max_queued_(max_queued),
-        quarantine_(quarantine),
-        watchdog_ns_(watchdog_ns),
-        errors_(errors),
-        quarantined_(quarantined),
-        deques_(static_cast<std::size_t>(workers)) {}
-
-  /// Appends one scanned GOP to its owner's deque (scan thread). Blocks
-  /// while the bounded queue is full; returns the time blocked.
-  std::int64_t push_gop(mpeg2::GopInfo&& info, int index, int display_base) {
-    std::unique_lock lock(mutex_);
-    std::int64_t blocked_ns = 0;
-    if (max_queued_ > 0) {
-      WallTimer timer;
-      cv_.wait(lock, [&] {
-        return queued_ < static_cast<int>(max_queued_) || aborted_;
-      });
-      blocked_ns = timer.elapsed_ns();
-    }
-    if (aborted_) return blocked_ns;
-    const int id = static_cast<int>(entries_.size());
-    entries_.emplace_back();
-    GopEntry& e = entries_.back();
-    e.info = std::move(info);
-    e.index = index;
-    e.display_base = display_base;
-    e.decode_base = display_base;
-    e.owner = index % workers_;
-    e.bytes = e.info.end_offset - e.info.offset;
-    deques_[static_cast<std::size_t>(e.owner)].push_back(id);
-    ++queued_;
-    ++pushed_;
-    ++epoch_;
-    cv_.notify_all();
-    return blocked_ns;
+RunResult decode_as_session(const serve::ServerConfig& server,
+                            std::span<const std::uint8_t> stream,
+                            serve::SessionConfig session) {
+  serve::SessionResult r;
+  {
+    // Destroyed before the result is read: the pool has joined, so the
+    // hooks (tracer, profiler) are quiescent when the caller reads them.
+    serve::DecodeServer solo(server);
+    r = solo.wait(solo.submit(stream, std::move(session)));
   }
-
-  void finish_scan(bool /*ok*/) {
-    const std::scoped_lock lock(mutex_);
-    scan_done_ = true;
-    ++epoch_;
-    cv_.notify_all();
+  RunResult result;
+  result.ok = r.ok;
+  result.wall_s = r.wall_s;
+  result.scan_s = r.scan_s;
+  result.pictures = r.pictures;
+  result.checksum = r.checksum;
+  result.stream_bytes = stream.size();
+  if (server.tracker) result.peak_frame_bytes = server.tracker->peak_bytes();
+  result.concealed_slices = r.concealed_slices;
+  result.concealed_pictures = r.concealed_pictures;
+  result.quarantined_gops = r.quarantined_gops;
+  result.errors = std::move(r.errors);
+  result.errors_dropped = r.errors_dropped;
+  result.workers = std::move(r.workers);
+  result.gop_mode_gops = r.gop_mode_gops;
+  result.exploded_gops = r.exploded_gops;
+  result.pool_hits = r.pool_hits;
+  result.pool_misses = r.pool_misses;
+  result.hung = r.hung;
+  if (r.hung) {
+    const bool display = std::any_of(
+        result.errors.begin(), result.errors.end(), [](const ErrorRecord& e) {
+          return e.cause == RecoveryCause::kDisplayTimeout;
+        });
+    result.hang.where = display ? "display" : "coordinator";
+    result.hang.waited_ns = server.watchdog_ns;
+    result.hang.pictures_delivered = r.pictures_delivered;
+    result.hang.pictures_indexed = r.pictures;
   }
-
-  /// Blocks until work is available or the run ends. Wait time is added to
-  /// `sync_ns`. Returns false when the run is complete, aborted or hung.
-  bool claim(Claim& out, std::int64_t& sync_ns, int worker) {
-    WallTimer timer;
-    std::unique_lock lock(mutex_);
-    for (;;) {
-      if (aborted_) break;
-      if (try_claim(out, worker)) {
-        sync_ns += timer.elapsed_ns();
-        return true;
-      }
-      if (scan_done_ && completed_gops_ == pushed_) break;
-      if (watchdog_ns_ > 0) {
-        // Watchdog: epoch_ ticks on every scheduling event (push, dispatch,
-        // picture/GOP completion, scan end). A full timeout with no tick
-        // means the pipeline is wedged; fail the run rather than hang.
-        const std::uint64_t before = epoch_;
-        const auto status =
-            cv_.wait_for(lock, std::chrono::nanoseconds(watchdog_ns_));
-        if (status == std::cv_status::timeout && epoch_ == before &&
-            !aborted_) {
-          hung_ = true;
-          aborted_ = true;
-          if (errors_) errors_->add({RecoveryCause::kWatchdog, -1, -1, 0});
-          cv_.notify_all();
-          break;
-        }
-      } else {
-        cv_.wait(lock);
-      }
-    }
-    sync_ns += timer.elapsed_ns();
-    return false;
-  }
-
-  /// Reports a finished whole-GOP task.
-  void finish_whole(const Claim& claim, std::int64_t cost_ns, bool ok) {
-    const std::scoped_lock lock(mutex_);
-    ++epoch_;
-    if (!ok) {
-      aborted_ = true;
-      cv_.notify_all();
-      return;
-    }
-    const GopEntry& e = entries_[static_cast<std::size_t>(claim.gop)];
-    ewma_.observe(cost_ns, e.bytes);
-    ++completed_gops_;
-    cv_.notify_all();
-  }
-
-  /// Reports a finished picture task of an exploded GOP; completes the GOP
-  /// when it was the last. The frame is retained until the GOP completes
-  /// so later pictures can reference it.
-  void finish_picture(const Claim& claim, mpeg2::FramePtr frame,
-                      std::int64_t cost_ns, bool damaged, bool ok) {
-    const std::scoped_lock lock(mutex_);
-    ++epoch_;
-    if (!ok) {
-      aborted_ = true;
-      cv_.notify_all();
-      return;
-    }
-    GopEntry& e = entries_[static_cast<std::size_t>(claim.gop)];
-    e.frames[static_cast<std::size_t>(claim.pic)] = std::move(frame);
-    e.state[static_cast<std::size_t>(claim.pic)] = 2;
-    e.cost_ns += cost_ns;
-    if (damaged) e.damaged = true;
-    if (++e.completed == static_cast<int>(e.info.pictures.size())) {
-      if (e.damaged && quarantined_) {
-        quarantined_->fetch_add(1, std::memory_order_relaxed);
-      }
-      ewma_.observe(e.cost_ns, e.bytes);
-      active_.erase(std::find(active_.begin(), active_.end(), claim.gop));
-      e.frames.clear();  // return reference frames to the pool
-      ++completed_gops_;
-    }
-    cv_.notify_all();
-  }
-
-  void fail() {
-    const std::scoped_lock lock(mutex_);
-    aborted_ = true;
-    ++epoch_;
-    cv_.notify_all();
-  }
-
-  /// Scan-time fields of entry `id` (immutable once pushed, so workers may
-  /// read them without the lock).
-  [[nodiscard]] const GopEntry& entry(int id) const {
-    return entries_[static_cast<std::size_t>(id)];
-  }
-
-  [[nodiscard]] bool aborted() const {
-    const std::scoped_lock lock(mutex_);
-    return aborted_;
-  }
-  [[nodiscard]] bool hung() const {
-    const std::scoped_lock lock(mutex_);
-    return hung_;
-  }
-  [[nodiscard]] std::uint64_t epoch() const {
-    const std::scoped_lock lock(mutex_);
-    return epoch_;
-  }
-  [[nodiscard]] int gop_mode_gops() const {
-    const std::scoped_lock lock(mutex_);
-    return gop_mode_;
-  }
-  [[nodiscard]] int exploded_gops() const {
-    const std::scoped_lock lock(mutex_);
-    return exploded_;
-  }
-
- private:
-  /// Claim priority: (1) a ready picture of an exploded GOP, lowest GOP
-  /// index first so the frames closest to display drain first; (2) the
-  /// worker's own deque, deciding granularity at pop time; (3) a steal
-  /// from the first non-empty victim deque in steal_order.
-  bool try_claim(Claim& out, int worker) {
-    for (const int g : active_) {
-      GopEntry& e = entries_[static_cast<std::size_t>(g)];
-      for (int i = 0; i < static_cast<int>(e.info.pictures.size()); ++i) {
-        if (pic_ready(e, i)) {
-          fill_picture_claim(e, g, i, worker, false, out);
-          return true;
-        }
-      }
-    }
-    auto& own = deques_[static_cast<std::size_t>(worker)];
-    if (!own.empty()) {
-      const int g = own.front();
-      own.pop_front();
-      dispatch(g, worker, false, out);
-      return true;
-    }
-    if (policy_.steal) {
-      for (const int v : sched::steal_order(worker, workers_)) {
-        auto& victim = deques_[static_cast<std::size_t>(v)];
-        if (victim.empty()) continue;
-        const int g = victim.front();
-        victim.pop_front();
-        dispatch(g, worker, true, out);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// A picture is claimable once its GOP-private references are complete:
-  /// every picture waits for the newest non-B before it (prediction source
-  /// for P, future reference for B, concealment source under quarantine);
-  /// B pictures additionally wait for the older one.
-  bool pic_ready(const GopEntry& e, int i) const {
-    if (e.state[static_cast<std::size_t>(i)] != 0) return false;
-    const int nw = e.newest[static_cast<std::size_t>(i)];
-    if (nw >= 0 && e.state[static_cast<std::size_t>(nw)] != 2) return false;
-    if (e.info.pictures[static_cast<std::size_t>(i)].type ==
-        mpeg2::PictureType::kB) {
-      const int ol = e.older[static_cast<std::size_t>(i)];
-      if (ol >= 0 && e.state[static_cast<std::size_t>(ol)] != 2) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void fill_picture_claim(GopEntry& e, int g, int i, int worker,
-                          bool popped, Claim& out) {
-    e.state[static_cast<std::size_t>(i)] = 1;
-    out.kind = Claim::Kind::kPicture;
-    out.gop = g;
-    out.pic = i;
-    out.stolen = e.owner != worker;
-    out.popped_gop = popped;
-    const int nw = e.newest[static_cast<std::size_t>(i)];
-    const int ol = e.older[static_cast<std::size_t>(i)];
-    out.bwd = nw >= 0 ? e.frames[static_cast<std::size_t>(nw)] : nullptr;
-    out.fwd = ol >= 0 ? e.frames[static_cast<std::size_t>(ol)] : nullptr;
-    out.ranked_display =
-        quarantine_
-            ? e.display_base + e.ranks[static_cast<std::size_t>(i)]
-            : -1;
-  }
-
-  /// The dispatch decision, at pop time, with the popped GOP still counted
-  /// in the queue depth (matching simulate_adaptive).
-  void dispatch(int g, int worker, bool stolen, Claim& out) {
-    GopEntry& e = entries_[static_cast<std::size_t>(g)];
-    const bool explode =
-        !e.info.pictures.empty() &&
-        sched::should_explode(policy_, workers_, queued_, ewma_, e.bytes);
-    --queued_;
-    ++epoch_;
-    if (explode) {
-      ++exploded_;
-      explode_entry(e);
-      active_.insert(
-          std::lower_bound(active_.begin(), active_.end(), g), g);
-      // The dispatching worker claims the GOP's first ready picture
-      // itself (picture 0 has no intra-GOP references, so one is always
-      // ready); the rest are up for grabs.
-      for (int i = 0; i < static_cast<int>(e.info.pictures.size()); ++i) {
-        if (pic_ready(e, i)) {
-          fill_picture_claim(e, g, i, worker, true, out);
-          break;
-        }
-      }
-    } else {
-      ++gop_mode_;
-      out.kind = Claim::Kind::kWholeGop;
-      out.gop = g;
-      out.pic = -1;
-      out.stolen = stolen;
-      out.popped_gop = true;
-    }
-    cv_.notify_all();  // a backpressured scan may resume
-  }
-
-  /// Builds the exploded block: the static non-B reference chain (scan
-  /// picture types) mirrors decode_gop's rolling fwd/bwd state machine, so
-  /// resolved references match the sequential path picture for picture —
-  /// including quarantined reference pictures, whose synthesized frames
-  /// feed later predictions exactly as in the GOP decoder.
-  void explode_entry(GopEntry& e) {
-    const std::size_t n = e.info.pictures.size();
-    e.exploded = true;
-    e.newest.assign(n, -1);
-    e.older.assign(n, -1);
-    e.state.assign(n, 0);
-    e.frames.assign(n, nullptr);
-    if (quarantine_) e.ranks = mpeg2::display_ranks(e.info);
-    int older = -1, newest = -1;
-    for (std::size_t i = 0; i < n; ++i) {
-      e.newest[i] = newest;
-      e.older[i] = older;
-      if (e.info.pictures[i].type != mpeg2::PictureType::kB) {
-        older = newest;
-        newest = static_cast<int>(i);
-      }
-    }
-  }
-
-  const int workers_;
-  const sched::AdaptivePolicy policy_;
-  const std::size_t max_queued_;
-  const bool quarantine_;
-  const std::int64_t watchdog_ns_;
-  ErrorLog* const errors_;
-  std::atomic<int>* const quarantined_;
-
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<GopEntry> entries_;  // stable addresses
-  std::vector<std::deque<int>> deques_;
-  std::vector<int> active_;  // exploded, incomplete GOP ids (sorted)
-  sched::CostEwma ewma_;
-  int queued_ = 0;  // GOP tasks sitting in deques
-  int pushed_ = 0;
-  int completed_gops_ = 0;
-  int gop_mode_ = 0;
-  int exploded_ = 0;
-  bool scan_done_ = false;
-  bool aborted_ = false;
-  bool hung_ = false;
-  std::uint64_t epoch_ = 0;  // bumps on every scheduling event (watchdog)
-};
-
-}  // namespace
+  derive_idle(result);
+  return result;
+}
 
 RunResult AdaptiveDecoder::decode(std::span<const std::uint8_t> stream,
                                   const FrameCallback& on_frame) {
-  RunResult result;
-  result.stream_bytes = stream.size();
-  WallTimer total_timer;
-  obs::Tracer* const tracer = config_.tracer;
-  obs::live::LiveTelemetry* const live =
-      config_.live && config_.live->workers() >= config_.workers
-          ? config_.live
-          : nullptr;
-
-  // --- Scan process, stage 1: the serial preamble.
-  WallTimer scan_timer;
-  std::int64_t span_begin = tracer ? tracer->now_ns() : 0;
-  mpeg2::StructureScanner scanner(stream);
-  const bool preamble_ok = scanner.scan_preamble();
-  double scan_s = scan_timer.elapsed_s();
-  if (tracer) {
-    tracer->emit(config_.workers, obs::SpanKind::kScan, span_begin,
-                 tracer->now_ns());
-  }
-  if (!preamble_ok) {
-    result.scan_s = scan_s;
-    return result;
-  }
-
-  mpeg2::StreamStructure structure;
-  structure.seq = scanner.seq();
-  structure.ext = scanner.ext();
-  structure.mpeg1 = scanner.mpeg1();
-  structure.valid = true;
-
-  obs::prof::WorkerProf* scan_prof =
-      config_.prof ? config_.prof->bind(config_.workers) : nullptr;
-
-  DisplaySink display(on_frame);
-  display.set_live(live);
-  mpeg2::FramePool pool(structure.seq.horizontal_size,
-                        structure.seq.vertical_size, config_.tracker);
-  // Warm allocation: the first pictures of a run should not pay for frame
-  // allocation on the decode path. One in-flight frame per worker plus
-  // slack for display reorder covers the steady state; the pool hit rate
-  // below proves it.
-  pool.reserve(static_cast<std::size_t>(config_.workers) + 2);
-
-  obs::Counter* m_tasks = nullptr;
-  obs::Histogram* h_task = nullptr;
-  obs::Histogram* h_wait = nullptr;
-  if (config_.metrics) {
-    m_tasks = &config_.metrics->counter("adaptive.tasks");
-    h_task = &config_.metrics->histogram("adaptive.task_ns");
-    h_wait = &config_.metrics->histogram("adaptive.queue_wait_ns");
-    config_.metrics->counter("decode.bytes")
-        .add(static_cast<std::int64_t>(stream.size()));
-  }
-
-  result.workers.resize(static_cast<std::size_t>(config_.workers));
-  std::atomic<int> concealed{0};
-  std::atomic<int> concealed_pics{0};
-  std::atomic<int> quarantined{0};
-  ErrorLog errors;
-  GopObs gobs;
-  gobs.tracer = tracer;
-  gobs.conceal_errors = config_.conceal_errors;
-  gobs.quarantine = config_.quarantine_gops;
-  gobs.concealed = &concealed;
-  gobs.concealed_pics = &concealed_pics;
-  gobs.quarantined = &quarantined;
-  gobs.errors = config_.quarantine_gops ? &errors : nullptr;
-  gobs.h_resync = config_.metrics
-                      ? &config_.metrics->histogram("recover.resync_bytes")
-                      : nullptr;
-  gobs.live = live;
-
-  sched::AdaptivePolicy policy;
-  policy.depth_threshold = config_.depth_threshold;
-  policy.cost_factor = config_.cost_factor;
-  policy.steal = config_.steal;
-  AdaptiveCoordinator coord(config_.workers, policy, config_.max_queued_gops,
-                            config_.quarantine_gops, config_.watchdog_ns,
-                            config_.quarantine_gops ? &errors : nullptr,
-                            &quarantined);
-
-  // Thread ownership lives in WorkerPool (the src/serve extraction); the
-  // claim loop below is unchanged from the jthread-vector days.
-  WorkerPool worker_pool(config_.workers, [&](int w) {
-      WorkerStats& stats = result.workers[static_cast<std::size_t>(w)];
-      obs::prof::WorkerProf* wprof =
-          config_.prof ? config_.prof->bind(w) : nullptr;
-      for (;;) {
-        const std::int64_t wait_begin = tracer ? tracer->now_ns() : 0;
-        const std::int64_t sync_before = stats.sync_ns;
-        Claim claim;
-        const bool have = coord.claim(claim, stats.sync_ns, w);
-        if (tracer) {
-          const std::int64_t wait_end = tracer->now_ns();
-          if (wait_end - wait_begin >= kMinWaitSpanNs) {
-            tracer->emit(w, obs::SpanKind::kQueueWait, wait_begin, wait_end);
-          }
-        }
-        if (!have) break;
-        if (live && claim.popped_gop) live->add_queue_depth(-1);
-        if (h_wait) h_wait->record(stats.sync_ns - sync_before);
-        const std::int64_t task_begin = tracer ? tracer->now_ns() : 0;
-        ThreadCpuTimer cpu;
-        bool ok = true;
-        if (claim.kind == Claim::Kind::kWholeGop) {
-          const GopEntry& e = coord.entry(claim.gop);
-          const GopTask task{&e.info, e.index, e.display_base,
-                             e.decode_base};
-          ok = decode_gop(stream, structure, task, pool, display, stats,
-                          gobs, w);
-          const std::int64_t task_ns = cpu.elapsed_ns();
-          if (tracer) {
-            tracer->emit(w, obs::SpanKind::kGopTask, task_begin,
-                         tracer->now_ns(), -1, -1, e.index);
-          }
-          coord.finish_whole(claim, task_ns, ok);
-          if (!ok) break;
-          stats.compute_ns += task_ns;
-          ++stats.tasks;
-          if (claim.stolen) {
-            ++stats.stolen_tasks;
-            stats.stolen_ns += task_ns;
-          }
-          if (h_task) h_task->record(task_ns);
-          if (m_tasks) m_tasks->add();
-          if (live) {
-            obs::live::TelemetryCell::Write lw(live->worker(w));
-            lw.add_tasks().add_busy_ns(task_ns).set_sync_ns(stats.sync_ns);
-            if (wprof) lw.add_counters(wprof->take_task_delta());
-          }
-        } else {
-          const GopEntry& e = coord.entry(claim.gop);
-          const auto& info =
-              e.info.pictures[static_cast<std::size_t>(claim.pic)];
-          PictureOutcome out = decode_one_picture(
-              stream, structure, info, e.index, e.decode_base + claim.pic,
-              e.display_base, claim.ranked_display, claim.fwd, claim.bwd,
-              pool, display, stats, gobs, w);
-          const std::int64_t task_ns = cpu.elapsed_ns();
-          ok = out.frame != nullptr;
-          const bool damaged =
-              out.quarantined ||
-              (out.concealed_slices > 0 && config_.quarantine_gops);
-          coord.finish_picture(claim, std::move(out.frame), task_ns, damaged,
-                               ok);
-          if (!ok) break;
-          stats.compute_ns += task_ns;
-          ++stats.tasks;
-          if (claim.stolen) {
-            ++stats.stolen_tasks;
-            stats.stolen_ns += task_ns;
-          }
-          if (h_task) h_task->record(task_ns);
-          if (m_tasks) m_tasks->add();
-          if (live) {
-            obs::live::TelemetryCell::Write lw(live->worker(w));
-            lw.add_tasks().add_busy_ns(task_ns).set_sync_ns(stats.sync_ns);
-            if (wprof) lw.add_counters(wprof->take_task_delta());
-          }
-        }
-      }
-      if (wprof) obs::prof::StageProfiler::unbind();
-  });
-
-  // --- Scan process, stage 2: stream GOPs into the coordinator's deques.
-  bool scan_ok = true;
-  int total_pictures = 0;
-  {
-    int index = 0;
-    for (;;) {
-      if (coord.aborted()) break;
-      WallTimer gop_timer;
-      span_begin = tracer ? tracer->now_ns() : 0;
-      mpeg2::GopInfo gop;
-      bool have;
-      {
-        obs::prof::StageScope scan_stage(obs::prof::Stage::kScan);
-        have = scanner.next_gop(gop);
-      }
-      scan_s += gop_timer.elapsed_s();
-      if (tracer) {
-        tracer->emit(config_.workers, obs::SpanKind::kScan, span_begin,
-                     tracer->now_ns(), -1, -1, index);
-      }
-      if (!have) {
-        scan_ok = !scanner.failed() && index > 0;
-        if (scanner.failed() && config_.quarantine_gops) {
-          // Bounded recovery: a scan failure mid-stream keeps the scanned
-          // prefix. A partial final GOP still decodes what it indexed.
-          errors.add({RecoveryCause::kScanTruncated, index, -1,
-                      scanner.position()});
-          if (scanner.failed_in_gop() && !gop.pictures.empty()) {
-            const int display_base = total_pictures;
-            total_pictures += static_cast<int>(gop.pictures.size());
-            if (live) live->add_queue_depth(1);
-            coord.push_gop(std::move(gop), index, display_base);
-          }
-          scan_ok = total_pictures > 0;
-        }
-        break;
-      }
-      if (!gop.closed) {
-        if (!config_.quarantine_gops) {
-          scan_ok = false;  // this decoder requires closed GOPs
-          break;
-        }
-        errors.add({RecoveryCause::kOpenGop, index, -1, gop.offset});
-      }
-      const int display_base = total_pictures;
-      total_pictures += static_cast<int>(gop.pictures.size());
-      if (live) live->add_queue_depth(1);
-      const std::int64_t push_begin = tracer ? tracer->now_ns() : 0;
-      const std::int64_t blocked_ns =
-          coord.push_gop(std::move(gop), index, display_base);
-      if (tracer && blocked_ns >= kMinWaitSpanNs) {
-        tracer->emit(config_.workers, obs::SpanKind::kBackpressure,
-                     push_begin, push_begin + blocked_ns);
-      }
-      if (live) {
-        obs::live::TelemetryCell::Write lw(live->scan());
-        lw.add_tasks()
-            .set_bytes(static_cast<std::int64_t>(scanner.position()))
-            .set_last_progress_ns(live->now_ns());
-        if (blocked_ns > 0) lw.add_backpressure_ns(blocked_ns);
-      }
-      ++index;
-    }
-    coord.finish_scan(scan_ok);
-  }
-  if (scan_prof) {
-    if (live) {
-      obs::live::TelemetryCell::Write lw(live->scan());
-      lw.add_counters(scan_prof->take_task_delta());
-    }
-    obs::prof::StageProfiler::unbind();
-  }
-  result.scan_s = scan_s;
-  result.pictures = total_pictures;
-  display.set_total(total_pictures);
-  if (config_.metrics) {
-    config_.metrics->counter("decode.pictures").add(total_pictures);
-  }
-
-  worker_pool.join();
-  result.concealed_slices = concealed.load(std::memory_order_relaxed);
-  result.concealed_pictures = concealed_pics.load(std::memory_order_relaxed);
-  result.quarantined_gops = quarantined.load(std::memory_order_relaxed);
-  result.gop_mode_gops = coord.gop_mode_gops();
-  result.exploded_gops = coord.exploded_gops();
-  for (const auto& ws : result.workers) {
-    result.stolen_tasks += ws.stolen_tasks;
-  }
-  result.pool_hits = pool.hits();
-  result.pool_misses = pool.misses();
-  result.hung = coord.hung();
-  if (result.hung) {
-    result.hang.where = "coordinator";
-    result.hang.waited_ns = config_.watchdog_ns;
-    result.hang.epoch = static_cast<std::int64_t>(coord.epoch());
-    result.hang.pictures_delivered = display.emitted();
-    result.hang.pictures_indexed = total_pictures;
-  }
-  errors.drain(result.errors, result.errors_dropped);
-  const auto record_run_metrics = [&] {
-    if (!config_.metrics) return;
-    config_.metrics->counter("adaptive.gop_mode_gops")
-        .add(result.gop_mode_gops);
-    config_.metrics->counter("adaptive.exploded_gops")
-        .add(result.exploded_gops);
-    config_.metrics->counter("adaptive.stolen_tasks")
-        .add(static_cast<std::int64_t>(result.stolen_tasks));
-    config_.metrics->counter("adaptive.pool_hits")
-        .add(static_cast<std::int64_t>(result.pool_hits));
-    config_.metrics->counter("adaptive.pool_misses")
-        .add(static_cast<std::int64_t>(result.pool_misses));
-    config_.metrics->counter("recover.concealed_slices")
-        .add(result.concealed_slices);
-    config_.metrics->counter("recover.concealed_pictures")
-        .add(result.concealed_pictures);
-    config_.metrics->counter("recover.quarantined_gops")
-        .add(result.quarantined_gops);
-    config_.metrics->counter("recover.errors").add(
-        static_cast<std::int64_t>(result.errors.size()) +
-        result.errors_dropped);
-  };
-  if (!scan_ok || coord.aborted()) {
-    // Failed runs still report their timing/memory so harnesses can log
-    // something consistent.
-    result.wall_s = total_timer.elapsed_s();
-    if (config_.tracker) {
-      result.peak_frame_bytes = config_.tracker->peak_bytes();
-    }
-    derive_idle(result);
-    record_run_metrics();
-    return result;
-  }
-  if (!display.wait_done_for(config_.watchdog_ns)) {
-    result.hung = true;
-    result.hang.where = "display";
-    result.hang.waited_ns = config_.watchdog_ns;
-    result.hang.epoch = static_cast<std::int64_t>(coord.epoch());
-    result.hang.pictures_delivered = display.emitted();
-    result.hang.pictures_indexed = total_pictures;
-    result.errors.push_back({RecoveryCause::kDisplayTimeout, -1, -1, 0});
-    result.wall_s = total_timer.elapsed_s();
-    if (config_.tracker) {
-      result.peak_frame_bytes = config_.tracker->peak_bytes();
-    }
-    derive_idle(result);
-    record_run_metrics();
-    return result;
-  }
-
-  result.wall_s = total_timer.elapsed_s();
-  result.checksum = display.checksum();
-  if (config_.tracker) {
-    result.peak_frame_bytes = config_.tracker->peak_bytes();
-  }
-  derive_idle(result);
-  record_run_metrics();
-  result.ok = true;
-  return result;
+  serve::ServerConfig server;
+  server.workers = config_.workers;
+  server.tracker = config_.tracker;
+  serve::SessionConfig session;
+  session.max_queued_gops = 0;
+  session.quarantine_gops = false;
+  session.on_frame = on_frame;
+  return decode_as_session(server, stream, std::move(session));
 }
 
 }  // namespace pmp2::parallel

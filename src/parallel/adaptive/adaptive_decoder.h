@@ -1,11 +1,10 @@
-// Adaptive-granularity hybrid decoder (ROADMAP item 3): one shared worker
-// pool, per-GOP dispatch between the two paper granularities.
+// Adaptive-granularity hybrid decoder: per-GOP dispatch between the two
+// paper granularities on one shared worker pool.
 //
-// Each scanned GOP lands on its owner worker's deque (owner = GOP index mod
-// workers, the GOP decoder's round-robin affinity). At pop time the policy
-// decides, from queue depth and an online cost model (src/sched
-// AdaptivePolicy / CostEwma — the same arithmetic the virtual-time sweeps
-// in simulate_adaptive validated):
+// The dispatcher is serve::DecodeServer's. At pop time the policy decides,
+// from queue depth and an online cost model (src/sched AdaptivePolicy /
+// CostEwma — the same arithmetic the virtual-time sweeps in
+// simulate_adaptive validated):
 //
 //   throughput mode — the pipeline is deep: run the GOP whole, exactly the
 //     GOP decoder's task (decode_gop), zero inter-worker communication;
@@ -17,89 +16,48 @@
 //     picture decodes byte-identically to the GOP decoder's sequential
 //     loop (both run decode_one_picture).
 //
-// Work stealing: an idle worker first backfills exploded pictures (always
-// shared), then pops its own deque, then steals a whole GOP from the next
-// victim in sched::steal_order. Stolen work is attributed per worker
-// (WorkerStats::stolen_tasks / stolen_ns) so the analyzer can answer where
-// stolen work landed.
-//
-// Recovery semantics are the GOP decoder's: quarantine confines a fault to
-// its own GOP in both modes, and playback checksums equal the fixed GOP
-// decoder's on clean and damaged streams alike.
+// A one-shot decode is the only session of a private server; this header
+// is the adapter that reports it as a RunResult. Recovery semantics are
+// the GOP decoder's: quarantine confines a fault to its own GOP in both
+// modes, and playback checksums equal the fixed GOP decoder's on clean and
+// damaged streams alike.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
-#include "mpeg2/decoder.h"
 #include "mpeg2/frame.h"
 #include "parallel/display.h"
 #include "parallel/stats.h"
-
-namespace pmp2::obs {
-class Registry;
-class Tracer;
-}
-
-namespace pmp2::obs::live {
-class LiveTelemetry;
-}
-
-namespace pmp2::obs::prof {
-class StageProfiler;
-}
+#include "serve/server.h"
 
 namespace pmp2::parallel {
 
+/// Decodes `stream` as the only session of a private DecodeServer built
+/// from `server`, and reports the session as a one-shot run: scan time,
+/// per-worker stats (idle derived from the session's wall time), the
+/// dispatch split, pool counters, recovery events, hang evidence, and the
+/// tracker's peak frame bytes.
+[[nodiscard]] RunResult decode_as_session(
+    const serve::ServerConfig& server, std::span<const std::uint8_t> stream,
+    serve::SessionConfig session = {});
+
 struct AdaptiveDecoderConfig {
   int workers = 4;
-  /// Maximum GOP tasks sitting in deques unstarted; the scan blocks when
-  /// full. 0 = unbounded (the paper's configuration).
-  std::size_t max_queued_gops = 0;
-  /// Explode when fewer than this many GOP tasks are queued; 0 = use the
-  /// worker count (sched::AdaptivePolicy::depth_threshold).
-  int depth_threshold = 0;
-  /// Explode a GOP predicted to cost more than this multiple of the
-  /// average completed GOP (sched::AdaptivePolicy::cost_factor).
-  double cost_factor = 2.0;
-  /// Allow idle workers to steal whole GOPs from other deques. Exploded
-  /// pictures are always shared regardless.
-  bool steal = true;
-  /// Conceal corrupt slices instead of aborting (as in both fixed
-  /// decoders); reported in RunResult::concealed_slices.
-  bool conceal_errors = false;
-  /// Bounded recovery with the GOP decoder's quarantine semantics
-  /// (docs/ROBUSTNESS.md): the blast radius of any fault is one GOP, in
-  /// either dispatch mode. Implies conceal_errors.
-  bool quarantine_gops = false;
-  /// Watchdog: fail the run (RunResult::hung) instead of blocking forever
-  /// when the coordinator or display stops progressing. 0 = off.
-  std::int64_t watchdog_ns = 0;
-  /// Tracks frame-buffer bytes.
+  /// Tracks frame-buffer bytes (RunResult::peak_frame_bytes).
   mpeg2::MemoryTracker* tracker = nullptr;
-  /// Optional span tracer: needs `workers + 1` tracks (track w = worker w,
-  /// track `workers` = the scan process). Null = zero-cost no-op.
-  obs::Tracer* tracer = nullptr;
-  /// Optional counter/histogram registry ("adaptive.*" instruments plus
-  /// the shared "decode.*"/"recover.*" families).
-  obs::Registry* metrics = nullptr;
-  /// Optional live telemetry surface; must be sized with at least
-  /// `workers` worker cells (an undersized instance is ignored).
-  obs::live::LiveTelemetry* live = nullptr;
-  /// Optional hardware-counter stage profiler (`workers + 1` slots).
-  obs::prof::StageProfiler* prof = nullptr;
 };
 
+/// The default one-shot configuration: closed GOPs required, no recovery
+/// (a corrupt slice fails the run), unbounded GOP queue. Callers that need
+/// recovery, a watchdog or hooks call decode_as_session directly.
 class AdaptiveDecoder {
  public:
   explicit AdaptiveDecoder(const AdaptiveDecoderConfig& config)
       : config_(config) {}
 
-  /// Decodes the elementary stream with `config_.workers` worker threads
-  /// plus a scan and a display role. Requires closed GOPs (the encoder's
-  /// output) unless quarantine is on. Frames are delivered in display
-  /// order through `on_frame` (may be empty). Fills RunResult's adaptive
-  /// accounting: gop_mode_gops, exploded_gops, stolen_tasks, pool hits.
+  /// Frames are delivered in display order through `on_frame` (may be
+  /// empty).
   [[nodiscard]] RunResult decode(std::span<const std::uint8_t> stream,
                                  const FrameCallback& on_frame = {});
 

@@ -1,5 +1,5 @@
 // Whole-GOP decode core shared by the GOP-parallel decoder and the
-// adaptive hybrid decoder (src/parallel/adaptive). A closed GOP decodes
+// DecodeServer's adaptive dispatcher (src/serve). A closed GOP decodes
 // end to end with private reference frames; with quarantine on, every
 // undecodable picture is synthesized (concealed) so the GOP still delivers
 // its full picture count and sibling GOPs stay untouched. Keeping this in
@@ -69,7 +69,7 @@ struct PictureOutcome {
 /// fwd and bwd; quarantine conceals from bwd, falling back to fwd). With
 /// quarantine on, `ranked_display_index` carries the display_ranks()-based
 /// slot; otherwise the parsed temporal reference decides. Both the
-/// sequential GOP task loop and the adaptive decoder's exploded path call
+/// sequential GOP task loop and the DecodeServer's exploded path call
 /// this one function, which is what keeps them byte-identical per picture.
 [[nodiscard]] PictureOutcome decode_one_picture(
     std::span<const std::uint8_t> stream,

@@ -27,11 +27,6 @@ struct WorkerStats {
   std::int64_t idle_ns = 0;     // run wall time minus compute minus sync
                                 // (derived once the run finishes)
   std::uint64_t tasks = 0;      // GOPs or slices completed
-  // Work-stealing attribution (adaptive decoder): tasks this worker
-  // executed that another worker owned, and the compute time they took —
-  // the "where did stolen work land" answer per worker.
-  std::uint64_t stolen_tasks = 0;
-  std::int64_t stolen_ns = 0;
   mpeg2::WorkMeter work;
 };
 
@@ -116,11 +111,12 @@ struct RunResult {
   std::vector<WorkerStats> workers;
 
   // Adaptive-granularity accounting (adaptive decoder only; zero
-  // elsewhere): how the dispatch policy split the stream, and how much
-  // work moved between workers.
+  // elsewhere): how the dispatch policy split the stream.
   int gop_mode_gops = 0;       // GOPs decoded whole (throughput mode)
-  int exploded_gops = 0;       // GOPs exploded into slice batches
-  std::uint64_t stolen_tasks = 0;  // sum over workers of stolen_tasks
+  int exploded_gops = 0;       // GOPs exploded into per-picture tasks
+  /// Always 0: the runtime dispatcher is one FIFO without work stealing
+  /// (only simulate_adaptive models stealing). Kept for report readers.
+  std::uint64_t stolen_tasks = 0;
   // Frame-pool effectiveness (reserve() warm-allocation paths).
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;

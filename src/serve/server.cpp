@@ -11,7 +11,8 @@
 #include <utility>
 
 #include "mpeg2/structure_scan.h"
-#include "parallel/display.h"
+#include "obs/prof/stage_prof.h"
+#include "obs/tracer.h"
 #include "parallel/gop_work.h"
 #include "parallel/worker_pool.h"
 #include "sched/adaptive.h"
@@ -22,26 +23,29 @@ namespace pmp2::serve {
 
 namespace {
 
-/// One GOP as a session's scheduler tracks it — the server-side analogue
-/// of the adaptive decoder's GopEntry, plus the enqueue timestamp the
-/// queue-inclusive latency histogram is measured from.
+/// Waits shorter than this are not worth a trace span; they still count
+/// toward sync_ns.
+constexpr std::int64_t kMinWaitSpanNs = 1'000;
+
+/// One GOP as a session's scheduler tracks it. Scan-time fields are
+/// immutable after push; the exploded block is built under the server
+/// lock when the dispatch decision explodes the GOP.
 struct GopEntry {
   mpeg2::GopInfo info;
   int index = 0;
   int display_base = 0;
   std::uint64_t bytes = 0;
-  std::int64_t enqueue_ns = 0;
+  std::int64_t enqueue_ns = 0;  // origin of the queue-inclusive latency
 
-  // Exploded state (latency mode), exactly the adaptive decoder's shape.
-  bool exploded = false;
-  std::vector<int> ranks;
-  std::vector<int> newest;
-  std::vector<int> older;
+  // Exploded state (latency mode).
+  std::vector<int> ranks;   // display_ranks (quarantine only)
+  std::vector<int> newest;  // per picture: newest non-B before it (-1 none)
+  std::vector<int> older;   // per picture: the non-B before that (-1 none)
   std::vector<std::uint8_t> state;  // 0 unclaimed, 1 running, 2 complete
-  std::vector<mpeg2::FramePtr> frames;
+  std::vector<mpeg2::FramePtr> frames;  // completed non-B pictures
   int completed = 0;
   bool damaged = false;
-  std::int64_t cost_ns = 0;
+  std::int64_t cost_ns = 0;  // accumulated task CPU time (EWMA feedback)
 };
 
 struct Session;
@@ -57,9 +61,9 @@ struct Claim {
   GopEntry* gop = nullptr;
   int entry = -1;
   int pic = -1;
-  bool popped_gop = false;
   int ranked_display = -1;
   std::int64_t charged_ns = 0;  // predicted cost debited at claim time
+  std::int64_t waited_ns = 0;   // claim wait that preceded this task
   mpeg2::FramePtr fwd, bwd;
 };
 
@@ -81,6 +85,10 @@ struct Session {
   parallel::ErrorLog errors;
   parallel::GopObs gobs;
   obs::live::SessionSurface* surface = nullptr;
+  double scan_s = 0.0;  // producer-private until finalize
+  /// Per pool worker; slot w is written only by worker w (sync_ns under
+  /// the server lock), read at finalize once in_flight is 0.
+  std::vector<parallel::WorkerStats> workers;
 
   // Scheduler state, guarded by the server mutex.
   std::deque<GopEntry> entries;  // stable addresses
@@ -92,7 +100,6 @@ struct Session {
   int in_flight = 0;    // claims handed out, not yet finished
   int gop_mode_gops = 0;
   int exploded_gops = 0;
-  bool scan_done = false;
   bool scan_ok = true;
   bool cancel_requested = false;
   bool aborted = false;  // unrecoverable decode/scan failure
@@ -103,6 +110,11 @@ struct Session {
   /// back out when reporting, so SessionResult::served_ns stays pure pool
   /// CPU time.
   std::int64_t virtual_start_ns = 0;
+  /// The producer's own wake-up (backpressure and lifecycle waits). It is
+  /// signalled only when the session's queue drops below its bound, its
+  /// in_flight reaches 0, or it is cancelled/aborted/hung — never by
+  /// other sessions' traffic.
+  std::condition_variable cv;
 
   std::int64_t submit_ns = 0;
   std::int64_t start_ns = -1;
@@ -116,7 +128,7 @@ struct Session {
   SessionResult result;
   bool result_ready = false;
 
-  std::jthread producer;  // joined when the Session is destroyed
+  std::jthread producer;  // last member: joined before the rest dies
 
   [[nodiscard]] bool terminal() const {
     return state == SessionState::kFinished ||
@@ -135,9 +147,51 @@ struct Session {
       return false;
     }
     if (!queue.empty()) return true;
-    return !active.empty();  // refined by has_ready_picture at claim time
+    return !active.empty();  // refined by has_claimable_locked
+  }
+  [[nodiscard]] bool stopping() const {
+    return cancel_requested || aborted || hung;
   }
 };
+
+/// A picture is claimable once its GOP-private references are complete:
+/// every picture waits for the newest non-B before it (prediction source
+/// for P, future reference for B, concealment source under quarantine);
+/// B pictures additionally wait for the older one.
+bool pic_ready(const GopEntry& e, int i) {
+  if (e.state[static_cast<std::size_t>(i)] != 0) return false;
+  const int nw = e.newest[static_cast<std::size_t>(i)];
+  if (nw >= 0 && e.state[static_cast<std::size_t>(nw)] != 2) return false;
+  if (e.info.pictures[static_cast<std::size_t>(i)].type ==
+      mpeg2::PictureType::kB) {
+    const int ol = e.older[static_cast<std::size_t>(i)];
+    if (ol >= 0 && e.state[static_cast<std::size_t>(ol)] != 2) return false;
+  }
+  return true;
+}
+
+/// Builds the exploded block: the static non-B reference chain (scan
+/// picture types) mirrors decode_gop's rolling fwd/bwd state machine, so
+/// resolved references match the sequential path picture for picture —
+/// including quarantined reference pictures, whose synthesized frames
+/// feed later predictions exactly as in the GOP decoder.
+void explode_entry(GopEntry& e, bool quarantine) {
+  const std::size_t n = e.info.pictures.size();
+  e.newest.assign(n, -1);
+  e.older.assign(n, -1);
+  e.state.assign(n, 0);
+  e.frames.assign(n, nullptr);
+  if (quarantine) e.ranks = mpeg2::display_ranks(e.info);
+  int older = -1, newest = -1;
+  for (std::size_t i = 0; i < n; ++i) {
+    e.newest[i] = newest;
+    e.older[i] = older;
+    if (e.info.pictures[i].type != mpeg2::PictureType::kB) {
+      older = newest;
+      newest = static_cast<int>(i);
+    }
+  }
+}
 
 }  // namespace
 
@@ -162,10 +216,19 @@ std::string_view session_state_name(SessionState s) {
 struct DecodeServer::Impl {
   explicit Impl(const ServerConfig& config)
       : config_(config),
+        tracer_(config.tracer && config.tracer->tracks() > config.workers
+                    ? config.tracer
+                    : nullptr),
         admission_(config.admission, config.workers),
         surfaces_(config.workers) {
     policy_.depth_threshold = config.depth_threshold;
     policy_.cost_factor = config.cost_factor;
+    if (config.metrics) {
+      m_tasks_ = &config.metrics->counter("serve.tasks");
+      h_task_ = &config.metrics->histogram("serve.task_ns");
+      h_wait_ = &config.metrics->histogram("serve.queue_wait_ns");
+      h_resync_ = &config.metrics->histogram("recover.resync_bytes");
+    }
     worker_stats_.resize(static_cast<std::size_t>(config.workers));
     pool_.start(config.workers, [this](int w) { worker_main(w); });
   }
@@ -184,8 +247,8 @@ struct DecodeServer::Impl {
       const std::scoped_lock lock(mutex_);
       stop_ = true;
       ++epoch_;
-      cv_.notify_all();
     }
+    work_cv_.notify_all();
     pool_.join();
   }
 
@@ -194,7 +257,7 @@ struct DecodeServer::Impl {
   SessionId submit(std::span<const std::uint8_t> stream,
                    SessionConfig cfg) {
     StreamLoadProfile profile = characterize_stream(stream);
-    std::unique_lock lock(mutex_);
+    const std::scoped_lock lock(mutex_);
     const SessionId id = static_cast<SessionId>(sessions_.size());
     auto owned = std::make_unique<Session>();
     Session& s = *owned;
@@ -225,7 +288,6 @@ struct DecodeServer::Impl {
         break;
     }
     ++epoch_;
-    cv_.notify_all();
     return id;
   }
 
@@ -234,8 +296,6 @@ struct DecodeServer::Impl {
     Session* s = find_locked(id);
     if (!s || s->terminal()) return false;
     request_cancel_locked(*s);
-    ++epoch_;
-    cv_.notify_all();
     return true;
   }
 
@@ -244,7 +304,7 @@ struct DecodeServer::Impl {
     // Re-resolve inside the predicate: a concurrent forget() may free the
     // Session between a notify and this thread reacquiring the lock.
     Session* s = nullptr;
-    cv_.wait(lock, [&] {
+    client_cv_.wait(lock, [&] {
       s = find_locked(id);
       return !s || s->result_ready;
     });
@@ -273,13 +333,10 @@ struct DecodeServer::Impl {
   }
 
   void drain() {
+    // Every session not on these two lists already has its result.
     std::unique_lock lock(mutex_);
-    cv_.wait(lock, [&] {
-      for (const auto& s : sessions_) {
-        if (s && !s->result_ready) return false;  // forgotten => was ready
-      }
-      return true;
-    });
+    client_cv_.wait(lock,
+                    [&] { return running_.empty() && wait_list_.empty(); });
   }
 
   SessionState state(SessionId id) const {
@@ -327,9 +384,7 @@ struct DecodeServer::Impl {
     // running sessions' minimum, so it competes from "now" instead of
     // monopolizing the pool until its lifetime total catches up.
     shares_.clear();
-    for (const auto& other : sessions_) {
-      if (!other || other.get() == &s) continue;
-      if (other->state != SessionState::kRunning) continue;
+    for (const Session* other : running_) {
       sched::FairShare share;
       share.weight = other->cfg.weight;
       share.served_ns = other->served_ns;
@@ -340,6 +395,8 @@ struct DecodeServer::Impl {
     s.state = SessionState::kRunning;
     s.start_ns = timer_.elapsed_ns();
     s.surface = &surfaces_.open(s.id, s.cfg.name);
+    s.workers.resize(static_cast<std::size_t>(config_.workers));
+    running_.push_back(&s);
     s.producer = std::jthread([this, &s] { producer_main(s); });
   }
 
@@ -356,6 +413,7 @@ struct DecodeServer::Impl {
       s.result.queued_s =
           static_cast<double>(s.finish_ns - s.submit_ns) / 1e9;
       s.result_ready = true;
+      client_cv_.notify_all();
       return;
     }
     if (s.state != SessionState::kRunning) return;
@@ -367,6 +425,7 @@ struct DecodeServer::Impl {
   /// queued whole GOPs leave the queue, unclaimed pictures of exploded
   /// GOPs are marked complete without a frame. In-flight tasks finish on
   /// their own; their frames are released at entry completion as usual.
+  /// Wakes the session's producer (it is stopping).
   void purge_session_queue_locked(Session& s) {
     queued_total_ -= static_cast<int>(s.queue.size());
     if (s.surface) {
@@ -392,20 +451,58 @@ struct DecodeServer::Impl {
       }
     }
     ++epoch_;
-    cv_.notify_all();
+    s.cv.notify_one();
   }
 
   // --- Producer: one per running session (scan + lifecycle). -------------
 
   void producer_main(Session& s) {
-    mpeg2::StructureScanner scanner(s.stream);
-    if (!scanner.scan_preamble()) {
-      // Admission validated the preamble, so this is defensive only.
+    // The profiler's scan slot has one writer: the first producer to find
+    // it free holds it for its scan; concurrent producers go unprofiled.
+    // (bind() fails only when the profiler has no scan slot at all.)
+    bool mine = false;
+    if (config_.prof) {
       const std::scoped_lock lock(mutex_);
-      s.aborted = true;
-      finalize_locked(s);
-      return;
+      mine = !scan_prof_taken_;
+      scan_prof_taken_ = true;
     }
+    obs::prof::WorkerProf* const scan_prof =
+        mine ? config_.prof->bind(config_.workers) : nullptr;
+    const bool scanned = scan_session(s);
+    if (scan_prof) {
+      {
+        obs::live::TelemetryCell::Write lw(s.surface->live.scan());
+        lw.add_counters(scan_prof->take_task_delta());
+      }
+      obs::prof::StageProfiler::unbind();
+      const std::scoped_lock lock(mutex_);
+      scan_prof_taken_ = false;
+    }
+    finish_session(s, scanned);
+  }
+
+  /// Scan track span; the server lock serializes every producer's writes.
+  void emit_scan_locked(obs::SpanKind kind, std::int64_t begin_ns,
+                        std::int64_t end_ns, int gop = -1) {
+    if (tracer_) {
+      tracer_->emit(config_.workers, kind, begin_ns, end_ns, -1, -1, gop);
+    }
+  }
+
+  /// The preamble, then every GOP streamed into the session queue with
+  /// backpressure. False when the preamble does not parse (admission
+  /// validated it, so that is defensive only).
+  bool scan_session(Session& s) {
+    WallTimer timer;
+    std::int64_t begin = tracer_ ? tracer_->now_ns() : 0;
+    mpeg2::StructureScanner scanner(s.stream);
+    const bool preamble_ok = scanner.scan_preamble();
+    s.scan_s += timer.elapsed_s();
+    if (tracer_) {
+      const std::scoped_lock lock(mutex_);
+      emit_scan_locked(obs::SpanKind::kScan, begin, tracer_->now_ns());
+    }
+    if (!preamble_ok) return false;
     s.structure.seq = scanner.seq();
     s.structure.ext = scanner.ext();
     s.structure.mpeg1 = scanner.mpeg1();
@@ -414,33 +511,46 @@ struct DecodeServer::Impl {
     // idle == misses (every frame ever allocated is back in the free
     // list), and reserve's uncounted allocations would blur it.
     s.pool.emplace(s.structure.seq.horizontal_size,
-                   s.structure.seq.vertical_size);
+                   s.structure.seq.vertical_size, config_.tracker);
     s.display.emplace([this, &s](mpeg2::FramePtr frame) {
       record_latency(s, *frame);
+      if (s.cfg.on_frame) s.cfg.on_frame(std::move(frame));
     });
     s.display->set_live(&s.surface->live);
+    s.gobs.tracer = tracer_;
     s.gobs.conceal_errors = s.cfg.quarantine_gops;
     s.gobs.quarantine = s.cfg.quarantine_gops;
     s.gobs.concealed = &s.concealed;
     s.gobs.concealed_pics = &s.concealed_pics;
     s.gobs.quarantined = &s.quarantined;
     s.gobs.errors = s.cfg.quarantine_gops ? &s.errors : nullptr;
+    s.gobs.h_resync = h_resync_;
     s.gobs.live = &s.surface->live;
 
-    // Scan loop: stream GOPs into the session queue with backpressure.
     int index = 0;
     for (;;) {
+      timer.reset();
+      begin = tracer_ ? tracer_->now_ns() : 0;
       mpeg2::GopInfo gop;
-      const bool have = scanner.next_gop(gop);
+      bool have;
+      {
+        obs::prof::StageScope scan_stage(obs::prof::Stage::kScan);
+        have = scanner.next_gop(gop);
+      }
+      s.scan_s += timer.elapsed_s();
+      const std::int64_t end = tracer_ ? tracer_->now_ns() : 0;
       {
         obs::live::TelemetryCell::Write lw(s.surface->live.scan());
         lw.set_bytes(static_cast<std::int64_t>(scanner.position()));
       }
       std::unique_lock lock(mutex_);
-      if (s.cancel_requested || s.aborted || s.hung) break;
+      emit_scan_locked(obs::SpanKind::kScan, begin, end, index);
+      if (s.stopping()) break;
       if (!have) {
         s.scan_ok = !scanner.failed() && index > 0;
         if (scanner.failed() && s.cfg.quarantine_gops) {
+          // Bounded recovery: a scan failure mid-stream keeps the scanned
+          // prefix. A partial final GOP still decodes what it indexed.
           s.errors.add({parallel::RecoveryCause::kScanTruncated, index, -1,
                         scanner.position()});
           if (scanner.failed_in_gop() && !gop.pictures.empty()) {
@@ -453,7 +563,7 @@ struct DecodeServer::Impl {
       }
       if (!gop.closed) {
         if (!s.cfg.quarantine_gops) {
-          s.scan_ok = false;
+          s.scan_ok = false;  // exploded pictures need closed GOPs
           break;
         }
         s.errors.add(
@@ -462,22 +572,22 @@ struct DecodeServer::Impl {
       push_gop_locked(s, std::move(gop), index, lock);
       ++index;
     }
+    return true;
+  }
 
-    // Lifecycle tail: publish the total, wait for the pool to finish the
-    // session's work, then drain the display and finalize.
+  /// Lifecycle tail: wait for the pool to finish the session's work, then
+  /// drain the display and finalize.
+  void finish_session(Session& s, bool scanned) {
     bool wait_display = false;
     {
       std::unique_lock lock(mutex_);
-      s.scan_done = true;
+      if (!scanned) s.aborted = true;
       ++epoch_;
-      cv_.notify_all();
-      cv_.wait(lock, [&] {
-        if (s.aborted || s.hung) return s.in_flight == 0;
-        if (s.cancel_requested) return s.in_flight == 0;
-        return s.completed_gops == s.pushed && s.in_flight == 0;
+      s.cv.wait(lock, [&] {
+        return s.in_flight == 0 &&
+               (s.stopping() || s.completed_gops == s.pushed);
       });
-      wait_display = !s.cancel_requested && !s.aborted && !s.hung &&
-                     s.scan_ok;
+      wait_display = !s.stopping() && s.scan_ok;
       if (wait_display) s.display->set_total(s.total_pictures);
     }
     if (wait_display &&
@@ -495,19 +605,24 @@ struct DecodeServer::Impl {
   /// else meanwhile).
   void push_gop_locked(Session& s, mpeg2::GopInfo&& gop, int index,
                        std::unique_lock<std::mutex>& lock) {
-    if (s.cfg.max_queued_gops > 0) {
+    const int bound = static_cast<int>(s.cfg.max_queued_gops);
+    if (bound > 0 && s.queued_gops >= bound) {
+      const std::int64_t begin = tracer_ ? tracer_->now_ns() : 0;
       WallTimer blocked;
-      cv_.wait(lock, [&] {
-        return s.queued_gops < static_cast<int>(s.cfg.max_queued_gops) ||
-               s.cancel_requested || s.aborted || s.hung || stop_;
+      s.cv.wait(lock, [&] {
+        return s.queued_gops < bound || s.stopping() || stop_;
       });
       const std::int64_t blocked_ns = blocked.elapsed_ns();
-      if (blocked_ns > 0) {
+      {
         obs::live::TelemetryCell::Write lw(s.surface->live.scan());
         lw.add_backpressure_ns(blocked_ns);
       }
+      if (blocked_ns >= kMinWaitSpanNs) {
+        emit_scan_locked(obs::SpanKind::kBackpressure, begin,
+                         begin + blocked_ns);
+      }
     }
-    if (s.cancel_requested || s.aborted || s.hung || stop_) return;
+    if (s.stopping() || stop_) return;
     const int id = static_cast<int>(s.entries.size());
     s.entries.emplace_back();
     GopEntry& e = s.entries.back();
@@ -533,7 +648,7 @@ struct DecodeServer::Impl {
       lw.add_tasks().set_last_progress_ns(s.surface->live.now_ns());
     }
     ++epoch_;
-    cv_.notify_all();
+    work_cv_.notify_one();  // one new claimable task
   }
 
   void record_latency(Session& s, const mpeg2::Frame& frame) {
@@ -561,12 +676,15 @@ struct DecodeServer::Impl {
     for (;;) {
       if (stop_) break;
       if (try_claim_locked(out)) {
-        stats.sync_ns += waited.elapsed_ns();
+        out.waited_ns = waited.elapsed_ns();
+        stats.sync_ns += out.waited_ns;
+        out.session->workers[static_cast<std::size_t>(worker)].sync_ns +=
+            out.waited_ns;
         return true;
       }
       if (config_.watchdog_ns > 0 && pending_work_locked()) {
         const std::uint64_t before = epoch_;
-        const auto status = cv_.wait_for(
+        const auto status = work_cv_.wait_for(
             lock, std::chrono::nanoseconds(config_.watchdog_ns));
         if (status == std::cv_status::timeout && epoch_ == before &&
             !stop_ && pending_work_locked()) {
@@ -577,16 +695,15 @@ struct DecodeServer::Impl {
           // sessions watchdog_wedged condemns — claimable-but-unclaimed
           // work, or in-flight claims whose telemetry went silent for a
           // full period — never the server.
-          for (auto& s : sessions_) {
-            if (!s || !session_wedged_locked(*s)) continue;
+          for (Session* s : running_) {
+            if (!session_wedged_locked(*s)) continue;
             s->hung = true;
-            s->errors.add(
-                {parallel::RecoveryCause::kWatchdog, -1, -1, 0});
-            purge_session_queue_locked(*s);  // bumps epoch_, notifies
+            s->errors.add({parallel::RecoveryCause::kWatchdog, -1, -1, 0});
+            purge_session_queue_locked(*s);  // bumps epoch_
           }
         }
       } else {
-        cv_.wait(lock);
+        work_cv_.wait(lock);
       }
     }
     stats.sync_ns += waited.elapsed_ns();
@@ -594,10 +711,8 @@ struct DecodeServer::Impl {
   }
 
   [[nodiscard]] bool pending_work_locked() const {
-    for (const auto& s : sessions_) {
-      if (s && s->pending_work()) return true;
-    }
-    return false;
+    return std::any_of(running_.begin(), running_.end(),
+                       [](const Session* s) { return s->pending_work(); });
   }
 
   /// The session-level half of the watchdog: feeds watchdog_wedged the
@@ -619,40 +734,39 @@ struct DecodeServer::Impl {
                            config_.watchdog_ns);
   }
 
-  /// Fair pick, then intra-session dispatch: ready exploded pictures
-  /// before queued whole GOPs (frames closest to display first), and the
-  /// whole-vs-exploded decision at pop time from the *global* queue depth
-  /// plus the shared cross-session CostEwma — the PR 9 dispatcher with
-  /// its signal widened to the whole server.
+  /// Fair pick over the running sessions, then intra-session dispatch:
+  /// ready exploded pictures before queued whole GOPs (frames closest to
+  /// display first), and the whole-vs-exploded decision at pop time from
+  /// the *global* queue depth plus the shared cross-session CostEwma.
   bool try_claim_locked(Claim& out) {
     shares_.clear();
-    for (const auto& s : sessions_) {
-      sched::FairShare share;  // forgotten slots stay non-runnable so the
-      if (s) {                 // picked index still maps into sessions_
-        share.weight = s->cfg.weight;
-        share.served_ns = s->served_ns;
-        share.runnable = s->runnable() && has_claimable_locked(*s);
-      }
+    for (const Session* s : running_) {
+      sched::FairShare share;
+      share.weight = s->cfg.weight;
+      share.served_ns = s->served_ns;
+      share.runnable = s->runnable() && has_claimable_locked(*s);
       shares_.push_back(share);
     }
     const int idx = sched::pick_session(shares_);
     if (idx < 0) return false;
-    Session& s = *sessions_[static_cast<std::size_t>(idx)];
+    Session& s = *running_[static_cast<std::size_t>(idx)];
     // Ready exploded picture first, lowest entry id (closest to display).
     for (const int g : s.active) {
       GopEntry& e = s.entries[static_cast<std::size_t>(g)];
       for (int i = 0; i < static_cast<int>(e.info.pictures.size()); ++i) {
         if (pic_ready(e, i)) {
-          fill_picture_claim(s, e, g, i, false, out);
-          charge_claim_locked(s, out, e.bytes /
-                                          e.info.pictures.size());
+          fill_picture_claim(s, e, g, i, out);
+          charge_claim_locked(s, out, e.bytes / e.info.pictures.size());
           return true;
         }
       }
     }
     const int g = s.queue.front();
     s.queue.pop_front();
-    --s.queued_gops;
+    // A producer blocked on the full queue may resume.
+    if (s.queued_gops-- == static_cast<int>(s.cfg.max_queued_gops)) {
+      s.cv.notify_one();
+    }
     --queued_total_;
     s.surface->live.add_queue_depth(-1);
     dispatch_locked(s, g, out);
@@ -670,29 +784,14 @@ struct DecodeServer::Impl {
     return false;
   }
 
-  static bool pic_ready(const GopEntry& e, int i) {
-    if (e.state[static_cast<std::size_t>(i)] != 0) return false;
-    const int nw = e.newest[static_cast<std::size_t>(i)];
-    if (nw >= 0 && e.state[static_cast<std::size_t>(nw)] != 2) return false;
-    if (e.info.pictures[static_cast<std::size_t>(i)].type ==
-        mpeg2::PictureType::kB) {
-      const int ol = e.older[static_cast<std::size_t>(i)];
-      if (ol >= 0 && e.state[static_cast<std::size_t>(ol)] != 2) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void fill_picture_claim(Session& s, GopEntry& e, int g, int i,
-                          bool popped, Claim& out) {
+  static void fill_picture_claim(Session& s, GopEntry& e, int g, int i,
+                                 Claim& out) {
     e.state[static_cast<std::size_t>(i)] = 1;
     out.kind = Claim::Kind::kPicture;
     out.session = &s;
     out.gop = &e;
     out.entry = g;
     out.pic = i;
-    out.popped_gop = popped;
     const int nw = e.newest[static_cast<std::size_t>(i)];
     const int ol = e.older[static_cast<std::size_t>(i)];
     out.bwd = nw >= 0 ? e.frames[static_cast<std::size_t>(nw)] : nullptr;
@@ -712,12 +811,19 @@ struct DecodeServer::Impl {
     ++epoch_;
     if (explode) {
       ++s.exploded_gops;
-      explode_entry(s, e);
+      explode_entry(e, s.cfg.quarantine_gops);
       s.active.insert(
           std::lower_bound(s.active.begin(), s.active.end(), g), g);
+      // The dispatching worker claims the GOP's first ready picture; a
+      // closed GOP opens with a reference picture, so that is normally
+      // the only ready one. Wake the others only if there is more.
+      int ready = 0;
       for (int i = 0; i < static_cast<int>(e.info.pictures.size()); ++i) {
-        if (pic_ready(e, i)) {
-          fill_picture_claim(s, e, g, i, true, out);
+        if (!pic_ready(e, i)) continue;
+        if (ready++ == 0) {
+          fill_picture_claim(s, e, g, i, out);
+        } else {
+          work_cv_.notify_all();
           break;
         }
       }
@@ -731,10 +837,8 @@ struct DecodeServer::Impl {
       out.gop = &e;
       out.entry = g;
       out.pic = -1;
-      out.popped_gop = true;
       charge_claim_locked(s, out, e.bytes);
     }
-    cv_.notify_all();  // a backpressured producer may resume
   }
 
   /// Debits the predicted cost at claim time so two claims between
@@ -747,59 +851,56 @@ struct DecodeServer::Impl {
     ++s.in_flight;
   }
 
-  void explode_entry(Session& s, GopEntry& e) {
-    const std::size_t n = e.info.pictures.size();
-    e.exploded = true;
-    e.newest.assign(n, -1);
-    e.older.assign(n, -1);
-    e.state.assign(n, 0);
-    e.frames.assign(n, nullptr);
-    if (s.cfg.quarantine_gops) e.ranks = mpeg2::display_ranks(e.info);
-    int older = -1, newest = -1;
-    for (std::size_t i = 0; i < n; ++i) {
-      e.newest[i] = newest;
-      e.older[i] = older;
-      if (e.info.pictures[i].type != mpeg2::PictureType::kB) {
-        older = newest;
-        newest = static_cast<int>(i);
-      }
-    }
-  }
-
   void settle_claim_locked(Session& s, const Claim& claim,
-                           std::int64_t task_ns) {
+                           std::int64_t task_ns, int worker) {
+    parallel::WorkerStats& stats =
+        worker_stats_[static_cast<std::size_t>(worker)];
+    stats.compute_ns += task_ns;
+    ++stats.tasks;
     s.served_ns += task_ns - claim.charged_ns;
-    --s.in_flight;
+    if (--s.in_flight == 0) s.cv.notify_one();
   }
 
-  void finish_whole(const Claim& claim, std::int64_t task_ns, bool ok) {
+  void finish_whole(const Claim& claim, std::int64_t task_ns, bool ok,
+                    int worker) {
     const std::scoped_lock lock(mutex_);
     Session& s = *claim.session;
     ++epoch_;
-    settle_claim_locked(s, claim, task_ns);
+    settle_claim_locked(s, claim, task_ns, worker);
     if (!ok) {
       abort_session_locked(s);
-    } else {
-      ewma_.observe(task_ns, claim.gop->bytes);
-      ++s.completed_gops;
+      return;
     }
-    cv_.notify_all();
+    ewma_.observe(task_ns, claim.gop->bytes);
+    ++s.completed_gops;
   }
 
-  void finish_picture(const Claim& claim, mpeg2::FramePtr frame,
-                      std::int64_t task_ns, bool damaged, bool ok) {
+  /// Takes `frame` by reference so a B picture's handle is dropped under
+  /// the lock: the producer reads the pool's leak counters as soon as it
+  /// sees in_flight at 0.
+  void finish_picture(const Claim& claim, mpeg2::FramePtr& frame,
+                      std::int64_t task_ns, bool damaged, bool ok,
+                      int worker) {
     const std::scoped_lock lock(mutex_);
     Session& s = *claim.session;
     ++epoch_;
-    settle_claim_locked(s, claim, task_ns);
+    settle_claim_locked(s, claim, task_ns, worker);
     if (!ok) {
       abort_session_locked(s);
-      cv_.notify_all();
       return;
     }
     GopEntry& e = *claim.gop;
-    e.frames[static_cast<std::size_t>(claim.pic)] = std::move(frame);
-    e.state[static_cast<std::size_t>(claim.pic)] = 2;
+    const auto pic = static_cast<std::size_t>(claim.pic);
+    // Only non-B pictures are ever a newest/older source; a B frame goes
+    // back to the pool as soon as the display released it.
+    const bool reference =
+        e.info.pictures[pic].type != mpeg2::PictureType::kB;
+    if (reference) {
+      e.frames[pic] = std::move(frame);
+    } else {
+      frame.reset();
+    }
+    e.state[pic] = 2;
     e.cost_ns += task_ns;
     if (damaged) e.damaged = true;
     if (++e.completed == static_cast<int>(e.info.pictures.size())) {
@@ -810,8 +911,9 @@ struct DecodeServer::Impl {
       if (it != s.active.end()) s.active.erase(it);
       e.frames.clear();  // return reference frames to the session pool
       ++s.completed_gops;
+    } else if (reference) {
+      work_cv_.notify_all();  // pictures that waited on it may be ready
     }
-    cv_.notify_all();
   }
 
   void abort_session_locked(Session& s) {
@@ -832,6 +934,8 @@ struct DecodeServer::Impl {
     r.served_ns = s.served_ns - s.virtual_start_ns;
     r.gop_mode_gops = s.gop_mode_gops;
     r.exploded_gops = s.exploded_gops;
+    r.scan_s = s.scan_s;
+    r.workers = std::move(s.workers);
     r.concealed_slices = s.concealed.load(std::memory_order_relaxed);
     r.concealed_pictures = s.concealed_pics.load(std::memory_order_relaxed);
     r.quarantined_gops = s.quarantined.load(std::memory_order_relaxed);
@@ -862,15 +966,31 @@ struct DecodeServer::Impl {
       r.pool_idle = s.pool->idle_count();
       s.pool.reset();
     }
+    record_metrics(s, r);
     s.result_ready = true;
+    running_.erase(std::find(running_.begin(), running_.end(), &s));
     // This session's load is free; maybe the wait list fits now.
-    if (s.decision == AdmissionDecision::kAdmit ||
-        s.decision == AdmissionDecision::kQueue) {
-      admission_.release(s.profile);
-    }
+    admission_.release(s.profile);
     admit_from_wait_list_locked();
     ++epoch_;
-    cv_.notify_all();
+    client_cv_.notify_all();
+  }
+
+  void record_metrics(const Session& s, const SessionResult& r) const {
+    obs::Registry* const m = config_.metrics;
+    if (!m) return;
+    m->counter("decode.bytes").add(static_cast<std::int64_t>(s.stream.size()));
+    m->counter("decode.pictures").add(r.pictures);
+    m->counter("serve.gop_mode_gops").add(r.gop_mode_gops);
+    m->counter("serve.exploded_gops").add(r.exploded_gops);
+    m->counter("serve.pool_hits").add(static_cast<std::int64_t>(r.pool_hits));
+    m->counter("serve.pool_misses")
+        .add(static_cast<std::int64_t>(r.pool_misses));
+    m->counter("recover.concealed_slices").add(r.concealed_slices);
+    m->counter("recover.concealed_pictures").add(r.concealed_pictures);
+    m->counter("recover.quarantined_gops").add(r.quarantined_gops);
+    m->counter("recover.errors")
+        .add(static_cast<std::int64_t>(r.errors.size()) + r.errors_dropped);
   }
 
   void admit_from_wait_list_locked() {
@@ -892,12 +1012,21 @@ struct DecodeServer::Impl {
   // --- Worker main loop ---------------------------------------------------
 
   void worker_main(int w) {
-    parallel::WorkerStats& stats =
-        worker_stats_[static_cast<std::size_t>(w)];
+    obs::prof::WorkerProf* const wprof =
+        config_.prof ? config_.prof->bind(w) : nullptr;
     for (;;) {
       Claim claim;
-      if (!this->claim(claim, w)) break;
+      const std::int64_t wait_begin = tracer_ ? tracer_->now_ns() : 0;
+      const bool have = this->claim(claim, w);
+      const std::int64_t task_begin = tracer_ ? tracer_->now_ns() : 0;
+      if (tracer_ && task_begin - wait_begin >= kMinWaitSpanNs) {
+        tracer_->emit(w, obs::SpanKind::kQueueWait, wait_begin, task_begin);
+      }
+      if (!have) break;
+      if (h_wait_) h_wait_->record(claim.waited_ns);
       Session& s = *claim.session;
+      parallel::WorkerStats& stats = s.workers[static_cast<std::size_t>(w)];
+      const GopEntry& e = *claim.gop;
       ThreadCpuTimer cpu;
       // claim.gop was resolved under mutex_; never re-index s.entries
       // here — the producer may be push_back-ing the deque concurrently.
@@ -905,17 +1034,19 @@ struct DecodeServer::Impl {
       // in_flight drops, the producer can finalize and a client's
       // forget() can free the Session and its surface.
       if (claim.kind == Claim::Kind::kWholeGop) {
-        const GopEntry& e = *claim.gop;
         const parallel::GopTask task{&e.info, e.index, e.display_base,
                                      e.display_base};
         const bool ok = parallel::decode_gop(s.stream, s.structure, task,
                                              *s.pool, *s.display, stats,
                                              s.gobs, w);
         const std::int64_t task_ns = cpu.elapsed_ns();
-        note_task(stats, s, w, task_ns);
-        finish_whole(claim, task_ns, ok);
+        if (tracer_) {
+          tracer_->emit(w, obs::SpanKind::kGopTask, task_begin,
+                        tracer_->now_ns(), -1, -1, e.index);
+        }
+        note_task(s, stats, w, task_ns, wprof);
+        finish_whole(claim, task_ns, ok, w);
       } else {
-        const GopEntry& e = *claim.gop;
         const auto& info =
             e.info.pictures[static_cast<std::size_t>(claim.pic)];
         parallel::PictureOutcome out = parallel::decode_one_picture(
@@ -934,36 +1065,43 @@ struct DecodeServer::Impl {
         // back in the free list by then.
         claim.fwd.reset();
         claim.bwd.reset();
-        note_task(stats, s, w, task_ns);
-        finish_picture(claim, std::move(out.frame), task_ns, damaged, ok);
+        note_task(s, stats, w, task_ns, wprof);
+        finish_picture(claim, out.frame, task_ns, damaged, ok, w);
       }
     }
+    if (wprof) obs::prof::StageProfiler::unbind();
   }
 
-  void note_task(parallel::WorkerStats& stats, Session& s, int w,
-                 std::int64_t task_ns) {
-    {
-      // load_summary() reads these under mutex_ from other threads.
-      // note_task runs BEFORE finish_* settles the claim, so by the time
-      // wait() can return, this accounting (and the surface write below)
-      // has already landed — which is also what makes forget() safe.
-      const std::scoped_lock lock(mutex_);
-      stats.compute_ns += task_ns;
-      ++stats.tasks;
-    }
+  /// Per-task accounting that needs no lock: the session's own worker
+  /// slot, the metrics registry (atomics) and the session's telemetry
+  /// cell. Runs BEFORE finish_* settles the claim, so by the time wait()
+  /// can return it has landed — which is also what makes forget() safe.
+  void note_task(Session& s, parallel::WorkerStats& stats, int w,
+                 std::int64_t task_ns, obs::prof::WorkerProf* wprof) {
+    stats.compute_ns += task_ns;
+    ++stats.tasks;
+    if (h_task_) h_task_->record(task_ns);
+    if (m_tasks_) m_tasks_->add();
     obs::live::TelemetryCell::Write lw(s.surface->live.worker(w));
-    lw.add_tasks().add_busy_ns(task_ns);
+    lw.add_tasks().add_busy_ns(task_ns).set_sync_ns(stats.sync_ns);
+    if (wprof) lw.add_counters(wprof->take_task_delta());
   }
 
   const ServerConfig config_;
+  obs::Tracer* const tracer_;  // null unless it has a scan track
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable work_cv_;    // idle workers: new claimable work
+  std::condition_variable client_cv_;  // wait()/drain(): a session ended
   WallTimer timer_;  // server epoch for every timestamp
   AdmissionController admission_;
   obs::live::SessionSurfaces surfaces_;
   sched::AdaptivePolicy policy_;
   sched::CostEwma ewma_;  // cross-session cost signal
+  obs::Counter* m_tasks_ = nullptr;
+  obs::Histogram* h_task_ = nullptr;
+  obs::Histogram* h_wait_ = nullptr;
+  obs::Histogram* h_resync_ = nullptr;
   /// Indexed by SessionId; forget() nulls a slot (ids are never reused)
   /// and leaves a tombstone so state()/decision() keep answering.
   struct Tombstone {
@@ -972,11 +1110,13 @@ struct DecodeServer::Impl {
   };
   std::deque<std::unique_ptr<Session>> sessions_;
   std::unordered_map<SessionId, Tombstone> forgotten_;
+  std::vector<Session*> running_;  // kRunning sessions, admission order
   std::deque<SessionId> wait_list_;
-  std::vector<sched::FairShare> shares_;  // scratch for try_claim
+  std::vector<sched::FairShare> shares_;  // scratch, parallel to running_
   std::vector<parallel::WorkerStats> worker_stats_;
   int queued_total_ = 0;  // GOP tasks queued across all sessions
   std::uint64_t epoch_ = 0;
+  bool scan_prof_taken_ = false;  // a producer holds the profiler scan slot
   bool stop_ = false;
   parallel::WorkerPool pool_;  // last member: joins before the rest dies
 };

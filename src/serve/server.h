@@ -1,15 +1,15 @@
 // DecodeServer: N concurrent MPEG-2 decode sessions multiplexed over one
-// shared worker pool (ROADMAP item 1, docs/SERVING.md).
+// shared worker pool (docs/SERVING.md). It is the repository's only
+// whole-GOP/exploded-picture dispatcher: a one-shot adaptive decode is a
+// private server with one session (parallel/adaptive/adaptive_decoder.h).
 //
-// Every decoder before this PR was one-shot: threads, buffers and lifetime
-// all owned by a single decode() call. The server inverts that — one
-// long-lived parallel::WorkerPool serves many sessions, each of which
+// One long-lived parallel::WorkerPool serves many sessions, each of which
 // keeps the isolation-relevant state private:
 //
-//   * its own StructureScanner/StreamDemux producer thread (scan overlap
-//     per session, bounded GOP queue with backpressure),
+//   * its own StructureScanner producer thread (scan overlap per session,
+//     bounded GOP queue with backpressure),
 //   * its own FramePool and DisplaySink (frames and reordering never cross
-//     sessions),
+//     sessions) and an optional display-order frame sink,
 //   * its own quarantine/concealment state and ErrorLog (a corrupt
 //     session's recovery is invisible to its neighbors — the isolation
 //     guarantee the serve CI stage proves by checksum),
@@ -18,11 +18,11 @@
 //
 // Shared across sessions: the worker pool, the admission controller
 // (bitrate/VBV predicted-load bookkeeping, serve/admission.h), the
-// sched::pick_session fairness policy (weighted min-service), and the
-// PR 9 adaptive dispatcher — should_explode() sees the queue depth summed
-// over *all* sessions and one cross-session CostEwma, so a shallow global
-// pipeline explodes GOPs for latency exactly as the single-stream
-// adaptive decoder does.
+// sched::pick_session fairness policy (weighted min-service), the
+// adaptive dispatch decision — should_explode() sees the queue depth
+// summed over *all* sessions and one cross-session CostEwma — and the
+// optional observability hooks (span tracer, metrics registry, stage
+// profiler, frame-memory tracker), which therefore cover every session.
 //
 // Teardown is graceful in both directions: wait() drains a session to its
 // natural end; cancel() stops scheduling new work mid-GOP, lets in-flight
@@ -44,8 +44,21 @@
 
 #include "obs/live/session_set.h"
 #include "obs/metrics.h"
+#include "parallel/display.h"
 #include "parallel/stats.h"
 #include "serve/admission.h"
+
+namespace pmp2::mpeg2 {
+class MemoryTracker;
+}
+
+namespace pmp2::obs {
+class Tracer;
+}
+
+namespace pmp2::obs::prof {
+class StageProfiler;
+}
 
 namespace pmp2::serve {
 
@@ -92,7 +105,12 @@ struct SessionConfig {
   std::size_t max_queued_gops = 4;
   /// Bounded recovery exactly as the single-stream decoders define it
   /// (docs/ROBUSTNESS.md): conceal + quarantine, blast radius one GOP.
+  /// Off, the first corrupt slice fails the session.
   bool quarantine_gops = true;
+  /// Display-order frame sink, called on a worker thread for every
+  /// emitted picture (may be empty). Frames it keeps past the session's
+  /// end show up as a pool leak (idle != misses).
+  parallel::FrameCallback on_frame;
 };
 
 /// Terminal snapshot of one session. Valid once the session reached a
@@ -111,7 +129,11 @@ struct SessionResult {
   int quarantined_gops = 0;
   int gop_mode_gops = 0;   // adaptive dispatch split for this session
   int exploded_gops = 0;
+  double scan_s = 0.0;     // producer time in the structure scan
   std::int64_t served_ns = 0;  // pool CPU time charged (fairness ledger)
+  /// Per pool worker: this session's task CPU time, task count, work
+  /// meter, and the claim wait that preceded its tasks (idle_ns unset).
+  std::vector<parallel::WorkerStats> workers;
   // Frame-pool accounting at teardown: idle == misses proves every frame
   // the session ever allocated was returned before the pool died.
   std::uint64_t pool_hits = 0;
@@ -138,6 +160,17 @@ struct ServerConfig {
   /// summed across sessions.
   int depth_threshold = 0;
   double cost_factor = 2.0;
+  /// Optional hooks shared by every session; null = no cost. The tracer
+  /// needs `workers + 1` tracks (track w = worker w, track `workers` =
+  /// every producer's scan spans, written under the scheduler lock); the
+  /// profiler `workers + 1` slots (the scan slot is held by one producer
+  /// at a time). The registry gets "serve.*" instruments plus the shared
+  /// "decode.*"/"recover.*" families; the tracker counts every session's
+  /// frame-buffer bytes.
+  obs::Tracer* tracer = nullptr;
+  obs::Registry* metrics = nullptr;
+  obs::prof::StageProfiler* prof = nullptr;
+  mpeg2::MemoryTracker* tracker = nullptr;
 };
 
 class DecodeServer {

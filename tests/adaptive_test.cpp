@@ -1,11 +1,12 @@
 // Adaptive granularity scheduler tests: the dispatch-policy arithmetic
 // (steal order, cost EWMA, explode decision), the frame-latency objective,
 // the virtual-time simulator's determinism and work conservation, and the
-// hybrid decoder's core guarantee — dispatch mode is invisible in the
-// output. The checksum matrix asserts adaptive == gop == slice byte-
-// identically on every Table-1 stream shape, clean and under injected
-// faults; the stress test exercises the work-stealing paths under
-// contention (also run under TSan via scripts/ci.sh).
+// hybrid dispatcher's core guarantee — dispatch mode is invisible in the
+// output. The real decodes run on the one dispatcher, serve::DecodeServer,
+// as one-session servers. The checksum matrix asserts adaptive == gop ==
+// slice byte-identically on every Table-1 stream shape, clean and under
+// injected faults; the stress test drives a contended one-session server
+// (also run under TSan via scripts/ci.sh).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "parallel/slice_parallel.h"
 #include "sched/adaptive.h"
 #include "sched/profile.h"
+#include "serve/server.h"
 #include "streamgen/stream_factory.h"
 
 namespace pmp2 {
@@ -201,12 +203,14 @@ std::uint64_t sequential_checksum(const std::vector<std::uint8_t>& stream) {
   return sum;
 }
 
+/// One session of a private server with the default bounded GOP queue.
 RunResult decode_adaptive(const std::vector<std::uint8_t>& stream,
                           int workers, bool quarantine) {
-  AdaptiveDecoderConfig cfg;
-  cfg.workers = workers;
-  cfg.quarantine_gops = quarantine;
-  return AdaptiveDecoder(cfg).decode(stream, {});
+  serve::ServerConfig server;
+  server.workers = workers;
+  serve::SessionConfig session;
+  session.quarantine_gops = quarantine;
+  return parallel::decode_as_session(server, stream, std::move(session));
 }
 
 RunResult decode_gop(const std::vector<std::uint8_t>& stream, int workers,
@@ -235,7 +239,9 @@ TEST(AdaptiveDecoder, MatchesSequentialReferenceOnCleanStream) {
   const auto stream = streamgen::generate_stream(spec);
   const std::uint64_t reference = sequential_checksum(stream);
   for (const int workers : {1, 2, 4, 8}) {
-    const auto r = decode_adaptive(stream, workers, false);
+    AdaptiveDecoderConfig cfg;
+    cfg.workers = workers;
+    const auto r = AdaptiveDecoder(cfg).decode(stream);
     ASSERT_TRUE(r.ok) << workers << " workers";
     EXPECT_EQ(r.pictures, 39) << workers << " workers";
     EXPECT_EQ(r.checksum, reference) << workers << " workers";
@@ -272,19 +278,19 @@ TEST(AdaptiveDecoder, ShallowQueueExplodesDeepQueueRunsWhole) {
   // depth_threshold 1: a GOP explodes only when nothing else is queued.
   // With 8 GOPs racing 2 workers the queue is deep almost always, so most
   // GOPs must run whole once the EWMA calibrates.
-  AdaptiveDecoderConfig cfg;
+  serve::ServerConfig cfg;
   cfg.workers = 2;
   cfg.depth_threshold = 1;
   cfg.cost_factor = 1e9;  // straggler rule off
-  const auto r = AdaptiveDecoder(cfg).decode(stream, {});
+  const auto r = parallel::decode_as_session(cfg, stream);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.gop_mode_gops + r.exploded_gops, 8);
   EXPECT_GT(r.gop_mode_gops, 0);
   // Forced-explode counterpart: an enormous depth threshold.
-  AdaptiveDecoderConfig latency;
+  serve::ServerConfig latency;
   latency.workers = 2;
   latency.depth_threshold = 1'000'000;
-  const auto l = AdaptiveDecoder(latency).decode(stream, {});
+  const auto l = parallel::decode_as_session(latency, stream);
   ASSERT_TRUE(l.ok);
   EXPECT_EQ(l.exploded_gops, 8);
   EXPECT_EQ(l.gop_mode_gops, 0);
@@ -393,28 +399,35 @@ TEST(AdaptiveChecksumMatrix, InjectedFaultsPreserveDispatchEquivalence) {
 }
 
 // ---------------------------------------------------------------------------
-// Steal-path stress (TSan target): repeated contended decodes must be
-// deterministic and mode-independent.
+// Contended one-session server stress (TSan target): 8 workers on 6 small
+// GOPs of one session keep the claim, explode and reference-handoff paths
+// busy; repeated sessions on one long-lived server must stay
+// deterministic, mode-independent and leak-free.
 
-TEST(AdaptiveStress, ContendedStealPathsStayDeterministic) {
+TEST(AdaptiveStress, ContendedOneSessionServerStaysDeterministic) {
   streamgen::StreamSpec spec;
   spec.width = 176;
   spec.height = 120;
   spec.gop_size = 4;
-  spec.pictures = 24;  // 6 GOPs across 8 workers: constant stealing
+  spec.pictures = 24;  // 6 GOPs across 8 workers: constant contention
   spec.bit_rate = 1'500'000;
   auto stream = streamgen::generate_stream(spec);
   corrupt_middle_slice(stream);  // recovery paths under contention too
-  const auto first = decode_adaptive(stream, 8, true);
-  ASSERT_TRUE(first.ok);
   const auto reference = decode_gop(stream, 8, true);
   ASSERT_TRUE(reference.ok);
-  EXPECT_EQ(first.checksum, reference.checksum);
+  serve::ServerConfig config;
+  config.workers = 8;
+  config.watchdog_ns = 30'000'000'000;
+  serve::DecodeServer server(config);
   for (int rep = 0; rep < 10; ++rep) {
-    const auto r = decode_adaptive(stream, 8, true);
+    const auto id = server.submit(stream, {});
+    const serve::SessionResult r = server.wait(id);
     ASSERT_TRUE(r.ok) << "rep " << rep;
-    EXPECT_EQ(r.checksum, first.checksum) << "rep " << rep;
+    EXPECT_EQ(r.checksum, reference.checksum) << "rep " << rep;
     EXPECT_EQ(r.pictures, 24) << "rep " << rep;
+    EXPECT_GE(r.concealed_slices, 1) << "rep " << rep;
+    EXPECT_EQ(r.pool_idle, r.pool_misses) << "rep " << rep;
+    EXPECT_TRUE(server.forget(id));
   }
 }
 

@@ -13,6 +13,9 @@
 #include <vector>
 
 #include "inject/fault.h"
+#include "obs/metrics.h"
+#include "obs/prof/stage_prof.h"
+#include "obs/tracer.h"
 #include "parallel/gop_decoder.h"
 #include "sched/fairness.h"
 #include "serve/admission.h"
@@ -487,6 +490,122 @@ TEST(Server, DestructorDrainsCleanly) {
     // No drain: the destructor owns the teardown.
   }
   SUCCEED();
+}
+
+TEST(Server, HooksCoverConcurrentSessions) {
+  // Tracer, metrics and profiler are server-wide hooks: two sessions
+  // decoding at once must both land their task spans, counters and
+  // stage attribution (TSan target: one writer per track and slot).
+  const auto a = make_stream(176, 120, 13, 26);
+  const auto b = make_stream(176, 120, 4, 16);
+  constexpr int kWorkers = 3;
+  obs::Tracer tracer(kWorkers + 1);
+  obs::Registry metrics;
+  obs::prof::StageProfiler prof(
+      std::make_unique<obs::prof::SoftwareCounterSource>(), kWorkers + 1);
+  SessionResult ra, rb;
+  {
+    ServerConfig config;
+    config.workers = kWorkers;
+    config.watchdog_ns = 30'000'000'000;
+    config.tracer = &tracer;
+    config.metrics = &metrics;
+    config.prof = &prof;
+    DecodeServer server(config);
+    const auto ia = server.submit(a, {});
+    const auto ib = server.submit(b, {});
+    ra = server.wait(ia);
+    rb = server.wait(ib);
+  }  // joined: the hooks are quiescent
+  ASSERT_TRUE(ra.ok);
+  ASSERT_TRUE(rb.ok);
+  int picture_spans = 0, gop_spans = 0, scan_spans = 0;
+  for (int t = 0; t <= kWorkers; ++t) {
+    for (const obs::Span& span : tracer.track(t).spans()) {
+      if (span.kind == obs::SpanKind::kPicture) ++picture_spans;
+      if (span.kind == obs::SpanKind::kGopTask) ++gop_spans;
+      if (span.kind == obs::SpanKind::kScan) {
+        EXPECT_EQ(t, kWorkers) << "scan span off the scan track";
+        ++scan_spans;
+      }
+    }
+  }
+  // Every picture of both sessions decoded exactly once, whole or
+  // exploded; every whole GOP has its task span; every GOP (plus each
+  // session's preamble and end-of-stream probe) has a scan span.
+  EXPECT_EQ(picture_spans, 26 + 16);
+  EXPECT_EQ(gop_spans, ra.gop_mode_gops + rb.gop_mode_gops);
+  EXPECT_EQ(scan_spans, (2 + 2) + (4 + 2));
+  EXPECT_EQ(metrics.counter("decode.pictures").value(), 26 + 16);
+  EXPECT_EQ(metrics.counter("decode.bytes").value(),
+            static_cast<std::int64_t>(a.size() + b.size()));
+  EXPECT_EQ(metrics.counter("serve.tasks").value(),
+            metrics.histogram("serve.task_ns").snapshot().count);
+  EXPECT_EQ(metrics.counter("serve.exploded_gops").value() +
+                metrics.counter("serve.gop_mode_gops").value(),
+            2 + 4);
+  const obs::prof::ProfSummary summary = prof.aggregate();
+  EXPECT_GT(summary.stages[static_cast<int>(obs::prof::Stage::kVlc)].enters,
+            0u);
+  EXPECT_GT(summary.stages[static_cast<int>(obs::prof::Stage::kScan)].enters,
+            0u);
+  // Per-session worker stats account for every task of the session.
+  std::uint64_t tasks = 0;
+  for (const auto& ws : ra.workers) tasks += ws.tasks;
+  EXPECT_EQ(tasks, static_cast<std::uint64_t>(ra.gop_mode_gops) +
+                       static_cast<std::uint64_t>(ra.exploded_gops) * 13);
+  EXPECT_GT(ra.scan_s, 0.0);
+}
+
+TEST(Server, FrameSinkDeliversDisplayOrder) {
+  // Every GOP exploded (huge depth threshold) on 4 workers: pictures
+  // complete out of order, the sink must still see display order.
+  const auto stream = make_stream(176, 120, 4, 16);
+  const std::uint64_t expected = solo_checksum(stream);
+  ServerConfig config;
+  config.workers = 4;
+  config.depth_threshold = 1'000'000;
+  DecodeServer server(config);
+  std::vector<int> order;  // the sink runs on one emitter at a time
+  SessionConfig sc;
+  sc.on_frame = [&](mpeg2::FramePtr f) { order.push_back(f->display_index); };
+  const SessionResult r = server.wait(server.submit(stream, std::move(sc)));
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.exploded_gops, 4);
+  EXPECT_EQ(r.checksum, expected);
+  ASSERT_EQ(order.size(), 16u);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_EQ(r.pool_idle, r.pool_misses);
+}
+
+TEST(Server, ExplodedGopsRetainOnlyReferenceFrames) {
+  // One worker decodes exploded IBBP GOPs picture by picture. B pictures
+  // are never a reference source, so they must go back to the pool as
+  // soon as they are displayed: the frame high-water mark stays near the
+  // GOP's reference pictures (5 of 13 here), not its picture count.
+  const auto stream = make_stream(176, 120, 13, 26);
+  std::int64_t frame_bytes = 0;
+  {
+    mpeg2::MemoryTracker probe;
+    mpeg2::FramePool pool(176, 120, &probe);
+    const mpeg2::FramePtr f = pool.acquire();
+    frame_bytes = probe.current_bytes();
+  }
+  ASSERT_GT(frame_bytes, 0);
+  mpeg2::MemoryTracker tracker;
+  ServerConfig config;
+  config.workers = 1;
+  config.depth_threshold = 1'000'000;
+  config.tracker = &tracker;
+  DecodeServer server(config);
+  const SessionResult r = server.wait(server.submit(stream, {}));
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.exploded_gops, 2);
+  EXPECT_EQ(r.pool_idle, r.pool_misses) << "frames leaked at teardown";
+  // 5 retained references + the picture being decoded + reorder slack.
+  EXPECT_LE(tracker.peak_bytes(), 8 * frame_bytes);
 }
 
 // ---------------------------------------------------------------------------

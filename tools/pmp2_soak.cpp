@@ -24,9 +24,9 @@
 //   * clean baseline: the uncorrupted stream decodes ok on all three
 //     decoders with identical checksums (checked once per stream);
 //   * dispatch equivalence: whenever both succeed on a corrupt stream, the
-//     adaptive decoder's output is byte-identical to the GOP decoder's —
-//     the hybrid dispatch (whole vs exploded, stolen or not) must never
-//     change a single output byte, faults included;
+//     adaptive decoder's output (the DecodeServer dispatcher, one
+//     session) is byte-identical to the GOP decoder's — whole vs exploded
+//     dispatch must never change a single output byte, faults included;
 //   * a failed corrupt run must say why (error records or zero pictures).
 //
 // File-backed streams (--streams) are memory-mapped, so repeated passes
@@ -173,16 +173,20 @@ parallel::RunResult decode_slice_mode(std::span<const std::uint8_t> stream,
   return parallel::SliceParallelDecoder(config).decode(stream, cb);
 }
 
+/// The adaptive decoder is a one-session DecodeServer; its telemetry
+/// goes to that session's own surface, not the soak-wide one.
 parallel::RunResult decode_adaptive_mode(
     std::span<const std::uint8_t> stream, const DecodeSetup& setup,
     bool recover, const parallel::FrameCallback& cb = {}) {
-  parallel::AdaptiveDecoderConfig config;
+  serve::ServerConfig config;
   config.workers = setup.workers;
-  config.quarantine_gops = recover;
   config.watchdog_ns = setup.watchdog_ns;
   config.metrics = setup.metrics;
-  config.live = setup.live;
-  return parallel::AdaptiveDecoder(config).decode(stream, cb);
+  serve::SessionConfig session;
+  session.max_queued_gops = 0;
+  session.quarantine_gops = recover;
+  session.on_frame = cb;
+  return parallel::decode_as_session(config, stream, std::move(session));
 }
 
 /// One corrupt decode, invariant-checked. Returns true when no invariant
